@@ -142,8 +142,9 @@ fuzz:
 # Bounded fuzz pass for CI: the ring-buffer model check, the
 # optimized-vs-reference differential oracles (packet and wormhole
 # modes), the packed-path round-trip/accessor-parity check, the
-# sliced-vs-packed kernel parity oracle, and the
-# tag-table-vs-scalar-kernel round-trip oracle, 10s each.
+# sliced-vs-packed kernel parity oracle, the
+# tag-table-vs-scalar-kernel round-trip oracle, and the route wire
+# codec-vs-encoding/json differential, 10s each.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRingQueue -fuzztime 10s ./internal/simulator
 	$(GO) test -run '^$$' -fuzz FuzzDifferential -fuzztime 10s ./internal/refsim
@@ -151,3 +152,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzPackedRoundTrip -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzSlicedParity -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzTagTable -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzRouteCodec -fuzztime 10s ./internal/routesvc

@@ -55,6 +55,7 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -438,6 +439,10 @@ func worker(cfg loadConfig, mix []int, client *http.Client, base string, n, stag
 	}
 	ws := workerStats{lat: newLatStream()}
 	var faulted []string // this worker's outstanding nonstraight faults
+	// Worker id faults only the switches congruent to id mod workers, at
+	// most one link each: with no two blocked links on one switch every
+	// pair stays routable, so -check can demand zero 422s.
+	owned := (n - id%cfg.workers + cfg.workers - 1) / cfg.workers
 
 	pickDst := func() int {
 		if zipf != nil {
@@ -474,16 +479,19 @@ func worker(cfg loadConfig, mix []int, client *http.Client, base string, n, stag
 				if !postMutate(client, base+"/repair", spec, cfg.churnNet) {
 					ws.mutateErrors++
 				}
-			} else {
+			} else if owned > 0 {
 				kind := "+"
 				if rng.Intn(2) == 0 {
 					kind = "-"
 				}
-				spec := fmt.Sprintf("%d:%d:%s", rng.Intn(stages), rng.Intn(n), kind)
-				faulted = append(faulted, spec)
-				ws.faults++
-				if !postMutate(client, base+"/fault", spec, cfg.churnNet) {
-					ws.mutateErrors++
+				sw := fmt.Sprintf("%d:%d:", rng.Intn(stages), id%cfg.workers+cfg.workers*rng.Intn(owned))
+				if !slices.ContainsFunc(faulted, func(f string) bool { return strings.HasPrefix(f, sw) }) {
+					spec := sw + kind
+					faulted = append(faulted, spec)
+					ws.faults++
+					if !postMutate(client, base+"/fault", spec, cfg.churnNet) {
+						ws.mutateErrors++
+					}
 				}
 			}
 		}

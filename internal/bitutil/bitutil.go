@@ -10,7 +10,7 @@ package bitutil
 
 import (
 	"fmt"
-	"strings"
+	"slices"
 )
 
 // Bit returns bit i of v (0 or 1). Bit 0 is the least significant bit.
@@ -66,12 +66,19 @@ func ComplementField(v uint64, p, q int) uint64 {
 // String renders the low n bits of v LSB-first, as the paper prints tags:
 // String(0b110, 6) == "011000" (bit 0 first).
 func String(v uint64, n int) string {
-	var sb strings.Builder
-	sb.Grow(n)
-	for i := 0; i < n; i++ {
-		sb.WriteByte(byte('0' + Bit(v, i)))
+	var buf [64]byte
+	return string(Append(buf[:0], v, n))
+}
+
+// Append appends the String rendering of the low n bits of v to dst.
+func Append(dst []byte, v uint64, n int) []byte {
+	dst = slices.Grow(dst, n)
+	out := dst[len(dst) : len(dst)+n]
+	for i := range out {
+		out[i] = byte('0' + v&1)
+		v >>= 1
 	}
-	return sb.String()
+	return dst[:len(dst)+n]
 }
 
 // Parse parses an LSB-first bit string (the inverse of String). Only '0' and

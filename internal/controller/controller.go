@@ -170,10 +170,16 @@ func (c *Controller) RouteTag(s, d int) (core.Tag, error) {
 		return e.tag, nil
 	}
 	c.misses.Add(1)
-	tag, _, err := core.Reroute(c.p, c.blk, s, core.MustTag(c.p, d))
-	if err != nil {
-		c.fails.Add(1)
-		return core.Tag{}, err
+	tag := core.MustTag(c.p, d)
+	// REROUTE returns the all-C tag unchanged when its route is clear;
+	// checking that on the packed walk first keeps the common miss
+	// allocation-free.
+	if _, hit := core.RouteTSDTPacked(c.p, s, tag).FirstBlocked(c.p, c.blk); hit {
+		var err error
+		if tag, _, err = core.Reroute(c.p, c.blk, s, tag); err != nil {
+			c.fails.Add(1)
+			return core.Tag{}, err
+		}
 	}
 	c.cache[key] = entry{tag: tag, epoch: c.epoch.Load()}
 	return tag, nil

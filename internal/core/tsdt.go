@@ -108,6 +108,9 @@ func (t Tag) StateBits() uint64 { return bitutil.Field(t.bits, t.n, 2*t.n-1) }
 // b_0..b_{n-1} followed by state bits b_n..b_{2n-1}.
 func (t Tag) String() string { return bitutil.String(t.bits, 2*t.n) }
 
+// Append appends the String rendering to dst without allocating.
+func (t Tag) Append(dst []byte) []byte { return bitutil.Append(dst, t.bits, 2*t.n) }
+
 // LinkAt decodes the output link switch j takes at stage i under this tag
 // (Lemma A1.1).
 func (t Tag) LinkAt(i, j int) topology.Link {

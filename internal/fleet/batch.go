@@ -1,35 +1,12 @@
 package fleet
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 
 	"iadm/internal/routesvc"
 )
-
-func decodeBody(r *http.Request, v any) error {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		return fmt.Errorf("bad JSON body: %v", err)
-	}
-	return nil
-}
-
-// batchReqWire is the request half of the batch exchange; responses are
-// handled as raw JSON so the router never re-marshals the path-bearing
-// items it merely reorders (the response body dominates the wire cost of
-// a batch — re-encoding it would double the router's per-route work).
-type batchReqWire struct {
-	Requests []routesvc.RouteJSON `json:"requests"`
-}
-
-type rawBatchResp struct {
-	Responses []json.RawMessage `json:"responses"`
-	Epoch     uint64            `json:"epoch"`
-}
 
 // ownerAt returns the backend holding replica `rank` of the item's key:
 // rank 0 is the cache-affinity owner, higher ranks the partition's other
@@ -52,11 +29,11 @@ func (rt *Router) group(reqs []routesvc.RouteJSON, idx []int, rank int) [][]int 
 }
 
 // fanout sends every non-empty group to its backend concurrently and
-// splices each sub-response's raw items into out at their original
-// indices. It returns the indices whose sub-batch failed outright (the
-// per-item slots left nil), the highest epoch any backend reported, and
-// the last sub-batch error.
-func (rt *Router) fanout(reqs []routesvc.RouteJSON, groups [][]int, out []json.RawMessage, asRetry bool) (failed []int, epoch uint64, lastErr error) {
+// places each sub-response's items into out at their original indices.
+// It returns the indices whose sub-batch failed outright (the per-item
+// slots left unset), the highest epoch any backend reported, and the
+// last sub-batch error.
+func (rt *Router) fanout(reqs []routesvc.RouteJSON, groups [][]int, out []routesvc.RouteJSON, asRetry bool) (failed []int, epoch uint64, lastErr error) {
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	for b, idx := range groups {
@@ -76,8 +53,7 @@ func (rt *Router) fanout(reqs []routesvc.RouteJSON, groups [][]int, out []json.R
 			if asRetry {
 				bk.retried.Add(1)
 			}
-			var resp rawBatchResp
-			err := bk.client.PostJSON("/route/batch", batchReqWire{Requests: sub}, &resp)
+			resp, err := bk.client.RouteBatch(sub)
 			bk.observe(err)
 			if err == nil && len(resp.Responses) != len(idx) {
 				err = fmt.Errorf("fleet: backend %s answered %d items for %d requests",
@@ -108,24 +84,24 @@ func (rt *Router) fanout(reqs []routesvc.RouteJSON, groups [][]int, out []json.R
 }
 
 // routeBatch is the scatter-gather batch path: split the incoming batch
-// by owning backend, fan the sub-batches out concurrently, splice the
-// raw responses back in input order. A sub-batch whose backend fails
+// by owning backend, fan the sub-batches out concurrently, put the
+// responses back in input order. A sub-batch whose backend fails
 // outright gets one retry round against each item's next replica (under
 // the retry budget); items still unserved answer per-item errors, so one
 // dead backend degrades 1/K of a batch instead of failing it whole.
 func (rt *Router) routeBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeErrJSON(w, http.StatusBadRequest, fmt.Errorf("method %s", r.Method), "invalid", 0)
+		routesvc.WriteError(w, http.StatusBadRequest, "method "+r.Method, "invalid", 0)
 		return
 	}
-	var in batchReqWire
-	if err := decodeBody(r, &in); err != nil {
-		writeErrJSON(w, http.StatusBadRequest, err, "invalid", 0)
+	var in routesvc.BatchJSON
+	if err := routesvc.ReadBatch(r.Body, &in); err != nil {
+		routesvc.WriteError(w, http.StatusBadRequest, "bad JSON body: "+err.Error(), "invalid", 0)
 		return
 	}
 	rt.batches.Add(1)
 	rt.budget.note()
-	out := make([]json.RawMessage, len(in.Requests))
+	out := make([]routesvc.RouteJSON, len(in.Requests))
 	all := make([]int, len(in.Requests))
 	for i := range all {
 		all[i] = i
@@ -140,35 +116,10 @@ func (rt *Router) routeBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	for _, i := range failed {
 		rq := in.Requests[i]
-		item := routesvc.RouteJSON{
+		out[i] = routesvc.RouteJSON{
 			Net: rq.Net, Src: rq.Src, Dst: rq.Dst, Scheme: rq.Scheme,
 			Error: ferr.Error(), Code: "backend",
 		}
-		raw, err := json.Marshal(item)
-		if err != nil {
-			writeErrJSON(w, http.StatusInternalServerError, err, "", 0)
-			return
-		}
-		out[i] = raw
 	}
-
-	// Merge: splice the raw sub-response items into one response body in
-	// input order, through a pooled buffer — no re-marshal of the items.
-	buf := respPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer respPool.Put(buf)
-	buf.WriteString(`{"responses":[`)
-	for i, raw := range out {
-		if i > 0 {
-			buf.WriteByte(',')
-		}
-		buf.Write(raw)
-	}
-	buf.WriteString(`],"epoch":`)
-	var tmp [20]byte
-	buf.Write(strconv.AppendUint(tmp[:0], epoch, 10))
-	buf.WriteString("}\n")
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(buf.Bytes())
+	routesvc.WriteBatch(w, &routesvc.BatchJSON{Responses: out, Epoch: epoch})
 }

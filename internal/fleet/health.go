@@ -27,10 +27,10 @@ func (rt *Router) healthz(w http.ResponseWriter, r *http.Request) {
 	}
 	if rt.Draining() {
 		out.Status = "draining"
-		writeJSON(w, http.StatusServiceUnavailable, out)
+		routesvc.WriteJSON(w, http.StatusServiceUnavailable, out)
 		return
 	}
-	writeJSON(w, http.StatusOK, out)
+	routesvc.WriteJSON(w, http.StatusOK, out)
 }
 
 // BackendMetrics is one backend's router-side view.
@@ -140,5 +140,5 @@ func (rt *Router) Metrics() MetricsJSON {
 }
 
 func (rt *Router) metrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, rt.Metrics())
+	routesvc.WriteJSON(w, http.StatusOK, rt.Metrics())
 }

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
@@ -51,12 +52,12 @@ func (rt *Router) repair(w http.ResponseWriter, r *http.Request) { rt.mutate(w, 
 // set operations, so re-delivery to an already-acked replica is safe.
 func (rt *Router) mutate(w http.ResponseWriter, r *http.Request, path string) {
 	if r.Method != http.MethodPost {
-		writeErrJSON(w, http.StatusBadRequest, fmt.Errorf("method %s", r.Method), "invalid", 0)
+		routesvc.WriteError(w, http.StatusBadRequest, "method "+r.Method, "invalid", 0)
 		return
 	}
 	var in routesvc.MutateJSON
-	if err := decodeBody(r, &in); err != nil {
-		writeErrJSON(w, http.StatusBadRequest, err, "invalid", 0)
+	if err := json.NewDecoder(r.Body).Decode(&in); err != nil {
+		routesvc.WriteError(w, http.StatusBadRequest, "bad JSON body: "+err.Error(), "invalid", 0)
 		return
 	}
 	set := rt.ring.ReplicaSet(in.Net)
@@ -99,8 +100,8 @@ func (rt *Router) mutate(w http.ResponseWriter, r *http.Request, path string) {
 	wg.Wait()
 	for k, err := range errs {
 		if err != nil {
-			writeErrJSON(w, http.StatusBadGateway,
-				fmt.Errorf("fleet: %s fan-out to replica %s failed: %v", path, rt.bks[set[k]].base, err),
+			routesvc.WriteError(w, http.StatusBadGateway,
+				fmt.Sprintf("fleet: %s fan-out to replica %s failed: %v", path, rt.bks[set[k]].base, err),
 				"backend", 0)
 			return
 		}
@@ -108,7 +109,7 @@ func (rt *Router) mutate(w http.ResponseWriter, r *http.Request, path string) {
 			out.Epoch = out.Acks[k].Epoch
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	routesvc.WriteJSON(w, http.StatusOK, out)
 }
 
 // PrewarmAck is one replica's acknowledgement of a prewarm fan-out.
@@ -122,7 +123,7 @@ type PrewarmAck struct {
 // partition. Like mutate, all replicas must succeed for a 200.
 func (rt *Router) prewarm(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeErrJSON(w, http.StatusBadRequest, fmt.Errorf("method %s", r.Method), "invalid", 0)
+		routesvc.WriteError(w, http.StatusBadRequest, "method "+r.Method, "invalid", 0)
 		return
 	}
 	net := r.URL.Query().Get("net")
@@ -148,13 +149,13 @@ func (rt *Router) prewarm(w http.ResponseWriter, r *http.Request) {
 	wg.Wait()
 	for k, err := range errs {
 		if err != nil {
-			writeErrJSON(w, http.StatusBadGateway,
-				fmt.Errorf("fleet: prewarm fan-out to replica %s failed: %v", rt.bks[set[k]].base, err),
+			routesvc.WriteError(w, http.StatusBadGateway,
+				fmt.Sprintf("fleet: prewarm fan-out to replica %s failed: %v", rt.bks[set[k]].base, err),
 				"backend", 0)
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, struct {
+	routesvc.WriteJSON(w, http.StatusOK, struct {
 		Net  string       `json:"net,omitempty"`
 		Acks []PrewarmAck `json:"acks"`
 	}{Net: net, Acks: acks})

@@ -1,47 +1,19 @@
 package fleet
 
 import (
-	"fmt"
 	"net/http"
-	"strconv"
 	"time"
 
 	"iadm/internal/routesvc"
 )
 
-// parseRoute accepts the same wire forms as the backend /route endpoint
-// (GET query or POST JSON body) so the router is a drop-in for a single
-// backend address.
-func parseRoute(r *http.Request) (routesvc.RouteJSON, error) {
-	var in routesvc.RouteJSON
-	switch r.Method {
-	case http.MethodGet:
-		q := r.URL.Query()
-		in.Net, in.Scheme = q.Get("net"), q.Get("scheme")
-		var err error
-		if in.Src, err = strconv.Atoi(q.Get("src")); err != nil {
-			return in, fmt.Errorf("bad src %q", q.Get("src"))
-		}
-		if in.Dst, err = strconv.Atoi(q.Get("dst")); err != nil {
-			return in, fmt.Errorf("bad dst %q", q.Get("dst"))
-		}
-	case http.MethodPost:
-		if err := decodeBody(r, &in); err != nil {
-			return in, err
-		}
-	default:
-		return in, fmt.Errorf("method %s", r.Method)
-	}
-	return in, nil
-}
-
 // routeOne proxies a single route request to the replica owning its
 // (net, src, dst) key, hedging to the next replica after cfg.HedgeAfter
 // and retrying retryable failures under the router-wide retry budget.
 func (rt *Router) routeOne(w http.ResponseWriter, r *http.Request) {
-	in, err := parseRoute(r)
+	in, err := routesvc.ReadRouteRequest(r)
 	if err != nil {
-		writeErrJSON(w, http.StatusBadRequest, err, "invalid", 0)
+		routesvc.WriteError(w, http.StatusBadRequest, err.Error(), "invalid", 0)
 		return
 	}
 	_, set := rt.ring.Owner(in.Net, in.Src, in.Dst)
@@ -52,7 +24,7 @@ func (rt *Router) routeOne(w http.ResponseWriter, r *http.Request) {
 		rt.proxyErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, out)
+	routesvc.WriteRoute(w, &out)
 }
 
 // sendRoute runs the hedged/retried single-route send. Replica rank k is
@@ -78,8 +50,7 @@ func (rt *Router) sendRoute(set []int, ownerPos int, in routesvc.RouteJSON) (rou
 				time.Sleep(delay)
 			}
 			bk.reqs.Add(1)
-			var out routesvc.RouteJSON
-			err := bk.client.PostJSON("/route", in, &out)
+			out, err := bk.client.RouteWire(in)
 			bk.observe(err)
 			ch <- reply{out, err}
 		}()

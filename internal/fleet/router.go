@@ -1,12 +1,9 @@
 package fleet
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -242,7 +239,7 @@ func (rt *Router) handle(path string, fn func(http.ResponseWriter, *http.Request
 	rt.eps[path] = ls
 	rt.mux.HandleFunc(path, func(w http.ResponseWriter, r *http.Request) {
 		if err := rt.begin(); err != nil {
-			writeErrJSON(w, http.StatusServiceUnavailable, err, "draining", 0)
+			routesvc.WriteError(w, http.StatusServiceUnavailable, err.Error(), "draining", 0)
 			return
 		}
 		defer rt.end()
@@ -272,29 +269,6 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// respPool recycles response-assembly buffers for the batch merge path.
-var respPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
-type errJSON struct {
-	Error string `json:"error"`
-	Code  string `json:"code,omitempty"`
-}
-
-func writeErrJSON(w http.ResponseWriter, status int, err error, code string, retryAfter int) {
-	if retryAfter > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
-	}
-	writeJSON(w, status, errJSON{Error: err.Error(), Code: code})
-}
-
 // proxyErr maps a backend-call failure onto the router's own response:
 // APIErrors pass through status and code (the router is transparent to
 // backend semantics — a backend 429 is the client's 429, Retry-After
@@ -302,8 +276,8 @@ func writeErrJSON(w http.ResponseWriter, status int, err error, code string, ret
 func (rt *Router) proxyErr(w http.ResponseWriter, err error) {
 	var apiErr *routesvc.APIError
 	if errors.As(err, &apiErr) {
-		writeErrJSON(w, apiErr.Status, errors.New(apiErr.Msg), apiErr.Code, apiErr.RetryAfter)
+		routesvc.WriteError(w, apiErr.Status, apiErr.Msg, apiErr.Code, apiErr.RetryAfter)
 		return
 	}
-	writeErrJSON(w, http.StatusBadGateway, err, "backend", 0)
+	routesvc.WriteError(w, http.StatusBadGateway, err.Error(), "backend", 0)
 }

@@ -5,12 +5,15 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"iadm/internal/core"
 	"iadm/internal/routesvc"
+	"iadm/internal/topology"
 )
 
 // testFleet is an in-process fleet: real routesvc multi-network backends
@@ -63,6 +66,37 @@ func newTestFleet(t *testing.T, nBackends int, cfg Config) *testFleet {
 	return f
 }
 
+// checkRoute rebuilds a response's route from its tag and source, as a
+// client must since responses carry no path (core.ParseTag, then
+// Tag.Follow), and requires it to reach the requested destination and,
+// for a TSDT tag, to avoid every blocked link.
+func checkRoute(t *testing.T, resp routesvc.RouteJSON, blocked ...string) {
+	t.Helper()
+	p := topology.MustParams(64)
+	tag, err := core.ParseTag(p.Stages(), resp.Tag)
+	if err != nil {
+		t.Fatalf("response %+v: %v", resp, err)
+	}
+	path := tag.Follow(p, resp.Src)
+	if got := path.Destination(); got != resp.Dst {
+		t.Fatalf("response %+v: tag walks from %d to %d, want %d", resp, resp.Src, got, resp.Dst)
+	}
+	if resp.Scheme != "tsdt" {
+		return
+	}
+	for _, spec := range blocked {
+		l, err := topology.ParseLink(p, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pl := range path.Links {
+			if pl == l {
+				t.Fatalf("response %+v: TSDT route takes blocked link %s", resp, spec)
+			}
+		}
+	}
+}
+
 // do posts a JSON request through the router and decodes the response.
 func (f *testFleet) do(t *testing.T, path string, body, out any) int {
 	t.Helper()
@@ -84,7 +118,7 @@ func TestFleetScatterGatherOrder(t *testing.T) {
 	f := newTestFleet(t, 3, Config{Replicas: 2})
 	// A mixed-partition, mixed-scheme batch large enough that every
 	// backend owns a slice of it.
-	var in batchReqWire
+	var in routesvc.BatchJSON
 	for i := 0; i < 150; i++ {
 		sch := "tsdt"
 		if i%3 == 0 {
@@ -93,6 +127,20 @@ func TestFleetScatterGatherOrder(t *testing.T) {
 		in.Requests = append(in.Requests, routesvc.RouteJSON{
 			Net: fmt.Sprintf("p%d", i%4), Src: i % 64, Dst: (i * 7) % 64, Scheme: sch,
 		})
+	}
+	// Block, on p0, the first nonstraight link of item 4's fault-free
+	// TSDT route (4 -> 28), so the route check below sees a real detour.
+	p := topology.MustParams(64)
+	var blockedP0 string
+	for _, l := range core.MustTag(p, 28).Follow(p, 4).Links {
+		if l.Kind != topology.Straight {
+			blockedP0 = l.Spec()
+			break
+		}
+	}
+	var ack FleetMutateJSON
+	if code := f.do(t, "/fault", routesvc.MutateJSON{Net: "p0", Links: []string{blockedP0}}, &ack); code != http.StatusOK {
+		t.Fatalf("fault status %d", code)
 	}
 	var out struct {
 		Responses []routesvc.RouteJSON `json:"responses"`
@@ -113,9 +161,14 @@ func TestFleetScatterGatherOrder(t *testing.T) {
 		if resp.Error != "" {
 			t.Fatalf("response %d failed: %s (%s)", i, resp.Error, resp.Code)
 		}
-		if len(resp.Path) == 0 {
-			t.Fatalf("response %d has no path", i)
+		if rq.Net == "p0" {
+			checkRoute(t, resp, blockedP0)
+		} else {
+			checkRoute(t, resp)
 		}
+	}
+	if out.Responses[4].Tag == core.MustTag(p, 28).String() {
+		t.Fatalf("item 4 kept its fault-free tag after %s was blocked", blockedP0)
 	}
 	// The batch really scattered: more than one backend served requests.
 	served := 0
@@ -202,9 +255,10 @@ func TestFleetHedgedRoute(t *testing.T) {
 	if d := time.Since(t0); d > 200*time.Millisecond {
 		t.Fatalf("hedged route took %v; the hedge did not fire", d)
 	}
-	if out.Error != "" || len(out.Path) == 0 {
+	if out.Error != "" {
 		t.Fatalf("hedged route bad response: %+v", out)
 	}
+	checkRoute(t, out)
 	if got := f.rt.hedges.Load(); got != 1 {
 		t.Fatalf("hedges_total=%d, want 1", got)
 	}
@@ -220,16 +274,17 @@ func TestFleetRetryAfterBackendDeath(t *testing.T) {
 	if code := f.do(t, "/route", in, &out); code != http.StatusOK {
 		t.Fatalf("route with dead primary: status %d", code)
 	}
-	if out.Error != "" || len(out.Path) == 0 {
+	if out.Error != "" {
 		t.Fatalf("retried route bad response: %+v", out)
 	}
+	checkRoute(t, out)
 	if f.rt.budget.retries.Load() == 0 {
 		t.Fatal("no retry was counted against the budget")
 	}
 
 	// Batch: every item whose primary died must come back from the other
 	// replica via the retry round — zero per-item errors.
-	var bin batchReqWire
+	var bin routesvc.BatchJSON
 	for i := 0; i < 128; i++ {
 		bin.Requests = append(bin.Requests, routesvc.RouteJSON{
 			Net: fmt.Sprintf("p%d", i%4), Src: i % 64, Dst: (i * 11) % 64, Scheme: "tsdt",
@@ -256,7 +311,7 @@ func TestFleetRetryBudgetExhausted(t *testing.T) {
 	dead := 0
 	f.srvs[dead].Close()
 
-	var bin batchReqWire
+	var bin routesvc.BatchJSON
 	for i := 0; i < 64; i++ {
 		bin.Requests = append(bin.Requests, routesvc.RouteJSON{
 			Net: fmt.Sprintf("p%d", i%4), Src: i % 64, Dst: (i * 11) % 64, Scheme: "tsdt",
@@ -299,7 +354,7 @@ func TestFleetMutateFanOutFailsClosed(t *testing.T) {
 
 func TestFleetMetricsMergeAndDrain(t *testing.T) {
 	f := newTestFleet(t, 3, Config{Replicas: 2})
-	var bin batchReqWire
+	var bin routesvc.BatchJSON
 	for i := 0; i < 96; i++ {
 		bin.Requests = append(bin.Requests, routesvc.RouteJSON{
 			Net: fmt.Sprintf("p%d", i%3), Src: i % 64, Dst: (i * 5) % 64, Scheme: "ssdt",
@@ -370,5 +425,36 @@ func TestFleetProbeMismatchedN(t *testing.T) {
 	}
 	if err := rt.Probe(); err == nil {
 		t.Fatal("probe accepted backends with mismatched N")
+	}
+}
+
+// TestFleetPrewarmEscapedNet prewarms a partition whose name needs query
+// escaping through the router: every replica must rebuild the dense table
+// of partition "a&b" itself, and none may create a partition "a".
+func TestFleetPrewarmEscapedNet(t *testing.T) {
+	const net = "a&b"
+	f := newTestFleet(t, 2, Config{Replicas: 2})
+	srv := httptest.NewServer(f.rt)
+	defer srv.Close()
+	resp, err := http.Post(srv.URL+"/prewarm?net=a%26b", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("prewarm status %d", resp.StatusCode)
+	}
+	for i, m := range f.multis {
+		nets := m.Nets()
+		if slices.Contains(nets, "a") || !slices.Contains(nets, net) {
+			t.Fatalf("backend %d hosts %q after prewarming %q", i, nets, net)
+		}
+		svc, err := m.Get(net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := svc.Metrics().DenseRoutes; d == 0 {
+			t.Fatalf("backend %d: partition %q has dense_routes 0 after prewarm", i, net)
+		}
 	}
 }

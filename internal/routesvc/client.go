@@ -6,24 +6,22 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
+	"net/url"
 	"time"
+
+	"iadm/internal/core"
 )
 
 // Client is a typed HTTP client for the Handler wire API, shared by the
-// fleet router's backend connections and the load generator. Request
-// bodies are marshaled into pooled buffers so steady-state traffic does
-// not allocate a fresh buffer per call, and the underlying Transport is
-// tuned for many concurrent keep-alive connections to one host.
+// fleet router's backend connections and the load generator. Route
+// bodies go through the wire codec in pooled buffers, so steady-state
+// traffic does not allocate a fresh buffer per call, and the underlying
+// Transport is tuned for many concurrent keep-alive connections to one
+// host.
 type Client struct {
 	base string
 	hc   *http.Client
 }
-
-// bufPool recycles request-body buffers across all Clients in the
-// process; bodies are small (a batch item is ~60 bytes on the wire) so
-// retaining a few per connection is cheap.
-var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // NewClient builds a client for one backend base URL ("http://host:port").
 // timeout bounds each call end-to-end; 0 means 10s.
@@ -39,14 +37,6 @@ func NewClient(base string, timeout time.Duration) *Client {
 	return &Client{base: base, hc: &http.Client{Transport: tr, Timeout: timeout}}
 }
 
-// Base returns the backend base URL the client was built with.
-func (c *Client) Base() string { return c.base }
-
-// HTTPClient exposes the underlying *http.Client for callers that need
-// raw requests with the same connection pool (the fleet router's hedged
-// sends use it).
-func (c *Client) HTTPClient() *http.Client { return c.hc }
-
 // APIError is a non-2xx response decoded from the wire error body.
 type APIError struct {
 	Status     int
@@ -59,22 +49,29 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("routesvc: backend status %d (%s): %s", e.Status, e.Code, e.Msg)
 }
 
-// PostJSON marshals v into a pooled buffer, POSTs it to path, and
-// decodes the 2xx response into out (skipped when out is nil). Non-2xx
-// responses return *APIError.
+// PostJSON marshals v, POSTs it to path, and decodes the 2xx response
+// into out (skipped when out is nil). Non-2xx responses return *APIError.
 func (c *Client) PostJSON(path string, v, out any) error {
-	buf := bufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer bufPool.Put(buf)
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
+	body, err := json.Marshal(v)
+	if err != nil {
 		return fmt.Errorf("routesvc: encode %s body: %w", path, err)
 	}
-	req, err := http.NewRequest(http.MethodPost, c.base+path, buf)
+	return c.post(path, bytes.NewReader(body), func(r io.Reader) error {
+		if out == nil {
+			return nil
+		}
+		return json.NewDecoder(r).Decode(out)
+	})
+}
+
+// post POSTs body to path and hands a 2xx response body to decode.
+func (c *Client) post(path string, body io.Reader, decode func(io.Reader) error) error {
+	req, err := http.NewRequest(http.MethodPost, c.base+path, body)
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	return c.do(req, out)
+	req.Header["Content-Type"] = jsonContentType
+	return c.do(req, decode)
 }
 
 // GetJSON GETs path and decodes the 2xx response into out.
@@ -83,10 +80,10 @@ func (c *Client) GetJSON(path string, out any) error {
 	if err != nil {
 		return err
 	}
-	return c.do(req, out)
+	return c.do(req, func(r io.Reader) error { return json.NewDecoder(r).Decode(out) })
 }
 
-func (c *Client) do(req *http.Request, out any) error {
+func (c *Client) do(req *http.Request, decode func(io.Reader) error) error {
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return err
@@ -106,10 +103,7 @@ func (c *Client) do(req *http.Request, out any) error {
 		}
 		return apiErr
 	}
-	if out == nil {
-		return nil
-	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+	if err := decode(resp.Body); err != nil {
 		return fmt.Errorf("routesvc: decode %s response: %w", req.URL.Path, err)
 	}
 	return nil
@@ -143,17 +137,32 @@ func (c *Client) Health() (HealthJSON, error) {
 
 // Route requests one tag.
 func (c *Client) Route(net string, src, dst int, scheme Scheme) (RouteJSON, error) {
+	return c.RouteWire(RouteJSON{Net: net, Src: src, Dst: dst, Scheme: scheme.String()})
+}
+
+// RouteWire sends one route request as given, its scheme name unparsed
+// (the fleet router forwards requests this way).
+func (c *Client) RouteWire(in RouteJSON) (RouteJSON, error) {
 	var out RouteJSON
-	in := RouteJSON{Net: net, Src: src, Dst: dst, Scheme: scheme.String()}
-	err := c.PostJSON("/route", in, &out)
+	err := c.postRoute("/route", func(b []byte) []byte { return appendItem(b, &in, core.Tag{}) },
+		func(r io.Reader) error { return ReadRoute(r, &out) })
 	return out, err
 }
 
 // RouteBatch requests many tags in one round trip.
 func (c *Client) RouteBatch(reqs []RouteJSON) (BatchJSON, error) {
 	var out BatchJSON
-	err := c.PostJSON("/route/batch", BatchJSON{Requests: reqs}, &out)
+	err := c.postRoute("/route/batch", func(b []byte) []byte { return appendRequests(b, reqs) },
+		func(r io.Reader) error { return ReadBatch(r, &out) })
 	return out, err
+}
+
+// postRoute POSTs the body appendBody builds in a pooled buffer.
+func (c *Client) postRoute(path string, appendBody func([]byte) []byte, decode func(io.Reader) error) error {
+	buf := bodyPool.Get().(*[]byte)
+	defer bodyPool.Put(buf)
+	*buf = appendBody((*buf)[:0])
+	return c.post(path, bytes.NewReader(*buf), decode)
 }
 
 // Fault reports faults on net; the response carries the backend's new
@@ -176,7 +185,7 @@ func (c *Client) Prewarm(net string) (PrewarmJSON, error) {
 	var out PrewarmJSON
 	path := "/prewarm"
 	if net != "" {
-		path += "?net=" + net
+		path += "?" + url.Values{"net": {net}}.Encode()
 	}
 	err := c.PostJSON(path, struct{}{}, &out)
 	return out, err

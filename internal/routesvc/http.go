@@ -130,14 +130,17 @@ func (h *Handler) handle(path string, fn func(http.ResponseWriter, *http.Request
 	})
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+// WriteJSON writes v as a JSON body through encoding/json, for the
+// endpoints off the route path (/metrics, /healthz, mutation acks).
+func WriteJSON(w http.ResponseWriter, code int, v any) {
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	_ = enc.Encode(v)
 }
 
+// errJSON is the wire form of an error body (see WriteError).
 type errJSON struct {
 	Error string `json:"error"`
 	Code  string `json:"code,omitempty"`
@@ -193,16 +196,17 @@ func (h *Handler) retryAfter() int {
 }
 
 func (h *Handler) writeErr(w http.ResponseWriter, err error) {
-	code := errStatus(err)
+	code, retryAfter := errStatus(err), 0
 	if code == http.StatusTooManyRequests {
-		w.Header().Set("Retry-After", strconv.Itoa(h.retryAfter()))
+		retryAfter = h.retryAfter()
 	}
-	writeJSON(w, code, errJSON{Error: err.Error(), Code: errCode(err)})
+	WriteError(w, code, err.Error(), errCode(err), retryAfter)
 }
 
 // RouteJSON is the wire form of one route request/response. Net selects
 // the target network on multi-network hosts (empty = DefaultNet) and is
-// echoed on responses.
+// echoed on responses. A response carries the tag but not the path: the
+// tag and Src fix it (core.ParseTag, then Tag.Follow).
 type RouteJSON struct {
 	Net    string `json:"net,omitempty"`
 	Src    int    `json:"src"`
@@ -210,7 +214,6 @@ type RouteJSON struct {
 	Scheme string `json:"scheme"`
 	// Response fields.
 	Tag       string `json:"tag,omitempty"`
-	Path      []int  `json:"path,omitempty"`
 	Epoch     uint64 `json:"epoch,omitempty"`
 	Cached    bool   `json:"cached,omitempty"`
 	Coalesced bool   `json:"coalesced,omitempty"`
@@ -218,81 +221,53 @@ type RouteJSON struct {
 	Code      string `json:"code,omitempty"`
 }
 
-func resultJSON(res Result) RouteJSON {
-	out := RouteJSON{
-		Src:       res.Src,
-		Dst:       res.Dst,
-		Scheme:    res.Scheme.String(),
-		Epoch:     res.Epoch,
-		Cached:    res.Cached,
-		Coalesced: res.Coalesced,
-	}
-	if res.Err != nil {
-		out.Error = res.Err.Error()
-		out.Code = errCode(res.Err)
-		return out
-	}
-	out.Tag = res.Tag.String()
-	out.Path = res.Path.Switches()
-	return out
-}
-
-// parseRouteReq accepts GET query parameters or a POST JSON body, and
-// returns the addressed network alongside the request.
-func parseRouteReq(r *http.Request) (string, Request, error) {
-	var net, src, dst string
-	var scheme string
+// ReadRouteRequest reads a /route request as sent: GET query parameters
+// (net, src, dst, scheme) or a POST JSON body.
+func ReadRouteRequest(r *http.Request) (RouteJSON, error) {
+	var in RouteJSON
 	switch r.Method {
 	case http.MethodGet:
 		q := r.URL.Query()
-		net, src, dst, scheme = q.Get("net"), q.Get("src"), q.Get("dst"), q.Get("scheme")
+		in.Net, in.Scheme = q.Get("net"), q.Get("scheme")
+		var err error
+		if in.Src, err = strconv.Atoi(q.Get("src")); err != nil {
+			return in, fmt.Errorf("%w: bad src %q", ErrInvalid, q.Get("src"))
+		}
+		if in.Dst, err = strconv.Atoi(q.Get("dst")); err != nil {
+			return in, fmt.Errorf("%w: bad dst %q", ErrInvalid, q.Get("dst"))
+		}
 	case http.MethodPost:
-		var body RouteJSON
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			return "", Request{}, fmt.Errorf("%w: bad JSON body: %v", ErrInvalid, err)
+		if err := ReadRoute(r.Body, &in); err != nil {
+			return in, fmt.Errorf("%w: bad JSON body: %v", ErrInvalid, err)
 		}
-		sc, err := ParseScheme(body.Scheme)
-		if err != nil {
-			return "", Request{}, err
-		}
-		return body.Net, Request{Src: body.Src, Dst: body.Dst, Scheme: sc}, nil
 	default:
-		return "", Request{}, fmt.Errorf("%w: method %s", ErrInvalid, r.Method)
+		return in, fmt.Errorf("%w: method %s", ErrInvalid, r.Method)
 	}
-	s, err := strconv.Atoi(src)
-	if err != nil {
-		return "", Request{}, fmt.Errorf("%w: bad src %q", ErrInvalid, src)
-	}
-	d, err := strconv.Atoi(dst)
-	if err != nil {
-		return "", Request{}, fmt.Errorf("%w: bad dst %q", ErrInvalid, dst)
-	}
-	sc, err := ParseScheme(scheme)
-	if err != nil {
-		return "", Request{}, err
-	}
-	return net, Request{Src: s, Dst: d, Scheme: sc}, nil
+	return in, nil
 }
 
 func (h *Handler) routeOne(w http.ResponseWriter, r *http.Request) {
-	net, req, err := parseRouteReq(r)
+	in, err := ReadRouteRequest(r)
 	if err != nil {
 		h.writeErr(w, err)
 		return
 	}
-	svc, err := h.service(net)
+	scheme, err := ParseScheme(in.Scheme)
 	if err != nil {
 		h.writeErr(w, err)
 		return
 	}
-	res, err := svc.Route(req.Src, req.Dst, req.Scheme)
+	svc, err := h.service(in.Net)
 	if err != nil {
 		h.writeErr(w, err)
 		return
 	}
-	out := resultJSON(res)
-	out.Net = net
-	writeJSON(w, http.StatusOK, out)
+	res, err := svc.Route(in.Src, in.Dst, scheme)
+	if err != nil {
+		h.writeErr(w, err)
+		return
+	}
+	write(w, http.StatusOK, func(b []byte) []byte { return append(appendResult(b, in.Net, &res), '\n') })
 }
 
 // BatchJSON is the wire form of a /route/batch exchange.
@@ -303,68 +278,100 @@ type BatchJSON struct {
 	Epoch     uint64      `json:"epoch,omitempty"`
 }
 
+// batchScratch is the working set of one /route/batch exchange, pooled so
+// a steady stream of batches reuses its buffer and slices.
+type batchScratch struct {
+	body BatchJSON
+	reqs []Request
+	buf  []byte
+}
+
+var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+
 func (h *Handler) routeBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		h.writeErr(w, fmt.Errorf("%w: method %s", ErrInvalid, r.Method))
 		return
 	}
-	var body BatchJSON
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
+	sc := batchPool.Get().(*batchScratch)
+	defer batchPool.Put(sc)
+	var err error
+	if sc.buf, err = readBody(r.Body, sc.buf); err == nil {
+		sc.body = BatchJSON{Requests: sc.body.Requests[:0]}
+		err = decodeBatch(sc.buf, &sc.body)
+	}
+	if err != nil {
 		h.writeErr(w, fmt.Errorf("%w: bad JSON body: %v", ErrInvalid, err))
 		return
 	}
-	reqs := make([]Request, len(body.Requests))
-	nets := make([]string, len(body.Requests))
-	for i, rq := range body.Requests {
-		sc, err := ParseScheme(rq.Scheme)
+	items := sc.body.Requests
+	reqs := sc.reqs[:0]
+	mixed := false
+	for i := range items {
+		sch, err := ParseScheme(items[i].Scheme)
 		if err != nil {
 			h.writeErr(w, fmt.Errorf("%w (request %d)", err, i))
 			return
 		}
-		reqs[i] = Request{Src: rq.Src, Dst: rq.Dst, Scheme: sc}
-		nets[i] = rq.Net
+		reqs = append(reqs, Request{Src: items[i].Src, Dst: items[i].Dst, Scheme: sch})
+		mixed = mixed || netName(items[i].Net) != netName(items[0].Net)
 	}
-	// Group items by network, preserving input order inside each group so
-	// every per-network sub-batch still packs dense 64-lane sliced blocks.
+	sc.reqs = reqs
 	// A single-network batch (the overwhelmingly common case, and every
 	// single-network handler) keeps whole-batch error semantics; items of
 	// a mixed batch fail per-item so one draining network cannot poison
 	// the others' results.
-	var order []string
-	groups := make(map[string][]int, 1)
-	for i, n := range nets {
-		if n == "" {
-			n = DefaultNet
+	var results []Result
+	var epoch uint64
+	if h.multi == nil || !mixed {
+		var net string
+		if len(items) > 0 {
+			net = items[0].Net
 		}
+		svc, err := h.service(net)
+		if err == nil {
+			results, err = svc.RouteBatch(reqs)
+		}
+		if err != nil {
+			h.writeErr(w, err)
+			return
+		}
+		epoch = svc.Epoch()
+	} else {
+		results, epoch = h.routeMixed(items, reqs)
+	}
+	write(w, http.StatusOK, func(b []byte) []byte {
+		b = appendItems(append(b, `{"responses":[`...), len(results), func(b []byte, i int) []byte {
+			return appendResult(b, items[i].Net, &results[i])
+		})
+		return appendResponsesEnd(b, epoch)
+	})
+}
+
+func netName(n string) string {
+	if n == "" {
+		return DefaultNet
+	}
+	return n
+}
+
+// routeMixed serves a batch spanning several networks: items are grouped
+// by network, preserving input order inside each group so every
+// per-network sub-batch still packs dense 64-lane sliced blocks, and a
+// group whose network fails answers per-item errors. It returns the
+// results in input order and the highest epoch any network reported.
+func (h *Handler) routeMixed(items []RouteJSON, reqs []Request) ([]Result, uint64) {
+	var order []string
+	groups := make(map[string][]int)
+	for i := range items {
+		n := netName(items[i].Net)
 		if _, ok := groups[n]; !ok {
 			order = append(order, n)
 		}
 		groups[n] = append(groups[n], i)
 	}
-	if h.multi == nil || len(order) <= 1 {
-		var net string
-		if len(order) == 1 {
-			net = order[0]
-		}
-		svc, err := h.service(net)
-		if err != nil {
-			h.writeErr(w, err)
-			return
-		}
-		results, err := svc.RouteBatch(reqs)
-		if err != nil {
-			h.writeErr(w, err)
-			return
-		}
-		out := BatchJSON{Responses: make([]RouteJSON, len(results)), Epoch: svc.Epoch()}
-		for i, res := range results {
-			out.Responses[i] = resultJSON(res)
-			out.Responses[i].Net = nets[i]
-		}
-		writeJSON(w, http.StatusOK, out)
-		return
-	}
-	out := BatchJSON{Responses: make([]RouteJSON, len(reqs))}
+	out := make([]Result, len(reqs))
+	var epoch uint64
 	for _, n := range order {
 		idx := groups[n]
 		sub := make([]Request, len(idx))
@@ -376,25 +383,18 @@ func (h *Handler) routeBatch(w http.ResponseWriter, r *http.Request) {
 		if err == nil {
 			results, err = svc.RouteBatch(sub)
 		}
-		if err != nil {
-			for _, i := range idx {
-				out.Responses[i] = RouteJSON{
-					Net: nets[i], Src: reqs[i].Src, Dst: reqs[i].Dst,
-					Scheme: reqs[i].Scheme.String(),
-					Error:  err.Error(), Code: errCode(err),
-				}
-			}
-			continue
-		}
 		for k, i := range idx {
-			out.Responses[i] = resultJSON(results[k])
-			out.Responses[i].Net = nets[i]
+			if err != nil {
+				out[i] = Result{Src: reqs[i].Src, Dst: reqs[i].Dst, Scheme: reqs[i].Scheme, Err: err}
+			} else {
+				out[i] = results[k]
+			}
 		}
-		if ep := svc.Epoch(); ep > out.Epoch {
-			out.Epoch = ep
+		if err == nil {
+			epoch = max(epoch, svc.Epoch())
 		}
 	}
-	writeJSON(w, http.StatusOK, out)
+	return out, epoch
 }
 
 // MutateJSON is the wire form of /fault and /repair exchanges. Specs use
@@ -469,7 +469,7 @@ func (h *Handler) mutate(w http.ResponseWriter, r *http.Request, isFault bool) {
 		h.writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, MutateJSON{
+	WriteJSON(w, http.StatusOK, MutateJSON{
 		Net:     body.Net,
 		Changed: changed,
 		Epoch:   svc.Epoch(),
@@ -501,7 +501,7 @@ func (h *Handler) prewarm(w http.ResponseWriter, r *http.Request) {
 		h.writeErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, PrewarmJSON{Routes: routes, Epoch: svc.Epoch()})
+	WriteJSON(w, http.StatusOK, PrewarmJSON{Routes: routes, Epoch: svc.Epoch()})
 }
 
 // HealthJSON is the wire form of /healthz. Nets counts the networks a
@@ -529,10 +529,10 @@ func (h *Handler) healthz(w http.ResponseWriter, r *http.Request) {
 	}
 	if draining {
 		out.Status = "draining"
-		writeJSON(w, http.StatusServiceUnavailable, out)
+		WriteJSON(w, http.StatusServiceUnavailable, out)
 		return
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 // EndpointJSON summarizes one endpoint's latency distribution.
@@ -635,5 +635,5 @@ func (h *Handler) Metrics() MetricsJSON {
 }
 
 func (h *Handler) metrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, h.Metrics())
+	WriteJSON(w, http.StatusOK, h.Metrics())
 }

@@ -9,6 +9,9 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"iadm/internal/core"
+	"iadm/internal/topology"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Service, *httptest.Server) {
@@ -64,8 +67,14 @@ func TestHTTPRoute(t *testing.T) {
 
 	var got RouteJSON
 	getJSON(t, ts.URL+"/route?src=1&dst=6&scheme=tsdt", http.StatusOK, &got)
-	if got.Tag == "" || len(got.Path) != 4 || got.Path[0] != 1 || got.Path[3] != 6 {
-		t.Fatalf("route response %+v", got)
+	// The response carries no path; the tag and source fix it.
+	p := topology.MustParams(8)
+	tag, err := core.ParseTag(p.Stages(), got.Tag)
+	if err != nil {
+		t.Fatalf("route response %+v: %v", got, err)
+	}
+	if path := tag.Follow(p, got.Src); got.Src != 1 || len(path.Links) != 3 || path.Destination() != 6 {
+		t.Fatalf("route response %+v walks %v", got, path)
 	}
 	if got.Cached {
 		t.Error("first request cached")

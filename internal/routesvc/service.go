@@ -146,8 +146,9 @@ type Result struct {
 	Tag core.Tag
 	// Path is the route the tag selects from Src under all-C states
 	// (exact for TSDT; for SSDT the nominal path, since en-route
-	// self-repair may divert it around nonstraight faults).
-	Path core.Path
+	// self-repair may divert it around nonstraight faults), packed so
+	// attaching it allocates nothing.
+	Path core.PackedPath
 	// Epoch is the blockage-map version the tag is valid against: for
 	// TSDT the epoch the tag was computed and validated under (a cache
 	// hit reports the entry's stamp, not a possibly newer current epoch);
@@ -572,7 +573,7 @@ func (s *Service) fillPathsSliced(out []Result) {
 			// never drop paths silently — walk the lanes scalar instead.
 			for i := 0; i < k; i++ {
 				r := &out[idx[i]]
-				r.Path = r.Tag.Follow(s.p, r.Src)
+				r.Path = core.RouteTSDTPacked(s.p, r.Src, r.Tag)
 			}
 			k = 0
 			return
@@ -580,7 +581,7 @@ func (s *Service) fillPathsSliced(out []Result) {
 		core.RouteTSDTSliced(s.p, &lb)
 		pp := lb.PathsInto(paths[:0])
 		for i := 0; i < k; i++ {
-			out[idx[i]].Path = pp[i].Unpack(s.p)
+			out[idx[i]].Path = pp[i]
 		}
 		s.slicedLanes.Add(uint64(k))
 		s.slicedBlocks.Add(1)
@@ -599,14 +600,15 @@ func (s *Service) fillPathsSliced(out []Result) {
 	flush()
 }
 
-// route is the singleton path: resolve the tag, then walk it scalar (one
-// lane would waste the sliced kernel's transposes).
+// route is the singleton path: resolve the tag, then walk it with the
+// scalar packed kernel (one lane would waste the sliced kernel's
+// transposes).
 func (s *Service) route(src, dst int, scheme Scheme) (Result, error) {
 	res, err := s.resolve(src, dst, scheme)
 	if err != nil {
 		return res, err
 	}
-	res.Path = res.Tag.Follow(s.p, src)
+	res.Path = core.RouteTSDTPacked(s.p, src, res.Tag)
 	return res, nil
 }
 

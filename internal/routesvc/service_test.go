@@ -11,7 +11,7 @@ import (
 	"iadm/internal/topology"
 )
 
-func mustService(t *testing.T, cfg Config) *Service {
+func mustService(t testing.TB, cfg Config) *Service {
 	t.Helper()
 	s, err := New(cfg)
 	if err != nil {
@@ -30,7 +30,7 @@ func TestRouteBothSchemes(t *testing.T) {
 		if res.Tag.Destination() != 6 {
 			t.Errorf("%v tag destination = %d", scheme, res.Tag.Destination())
 		}
-		if res.Path.Destination() != 6 || res.Path.Source != 1 {
+		if res.Path.Destination(s.Params()) != 6 || res.Path.Source() != 1 {
 			t.Errorf("%v path %v", scheme, res.Path)
 		}
 		if res.Cached {
@@ -82,7 +82,7 @@ func TestNoStaleTagAcrossFault(t *testing.T) {
 				}
 				t.Fatalf("Route(%d, %d): %v", src, dst, err)
 			}
-			for _, l := range res.Path.Links {
+			for _, l := range res.Path.LinksInto(s.Params(), nil) {
 				for _, b := range blocked {
 					if l == b {
 						t.Fatalf("stale tag: path %v uses link %v blocked before the request (epoch %d)",
@@ -144,7 +144,7 @@ func TestSSDTEpochExempt(t *testing.T) {
 	if r2.Tag != r1.Tag {
 		t.Errorf("SSDT tags differ across sources: %v vs %v", r1.Tag, r2.Tag)
 	}
-	if r2.Path.Source != 2 || r2.Path.Destination() != 5 {
+	if r2.Path.Source() != 2 || r2.Path.Destination(s.Params()) != 5 {
 		t.Errorf("SSDT path for source 2: %v", r2.Path)
 	}
 
@@ -424,7 +424,7 @@ func TestSlicedBatchMetrics(t *testing.T) {
 				t.Fatalf("size %d item %d: %v", size, i, res.Err)
 			}
 			// The sliced fill must agree with the scalar tag walk.
-			if want := res.Tag.Follow(s.Params(), res.Src); res.Path.String() != want.String() {
+			if want := core.PackPath(res.Tag.Follow(s.Params(), res.Src)); res.Path != want {
 				t.Fatalf("size %d item %d: sliced path %v, scalar %v", size, i, res.Path, want)
 			}
 		}

@@ -17,10 +17,15 @@ type flightKey struct {
 }
 
 type flightCall struct {
-	done chan struct{}
+	wg   sync.WaitGroup
 	tag  core.Tag
 	err  error
+	dups int // callers that joined, counted under flightGroup.mu
 }
+
+// callPool recycles the calls nobody joined, so an uncontended
+// computation allocates nothing.
+var callPool = sync.Pool{New: func() any { return new(flightCall) }}
 
 // flightGroup deduplicates concurrent tag computations: under a thundering
 // herd for one (src, dst, scheme, epoch), exactly one caller computes and
@@ -41,19 +46,29 @@ func (g *flightGroup) do(k flightKey, fn func() (core.Tag, error)) (tag core.Tag
 		g.m = make(map[flightKey]*flightCall)
 	}
 	if c, ok := g.m[k]; ok {
+		c.dups++
 		g.mu.Unlock()
-		<-c.done
+		c.wg.Wait()
 		return c.tag, c.err, true
 	}
-	c := &flightCall{done: make(chan struct{})}
+	c := callPool.Get().(*flightCall)
+	c.wg.Add(1)
 	g.m[k] = c
 	g.mu.Unlock()
 
-	c.tag, c.err = fn()
+	tag, err = fn()
+	c.tag, c.err = tag, err
+	c.wg.Done()
 
+	// Joiners register under the lock while the call is in the map, so
+	// once it is deleted with no joiners nothing else can reach it.
 	g.mu.Lock()
 	delete(g.m, k)
+	unseen := c.dups == 0
 	g.mu.Unlock()
-	close(c.done)
-	return c.tag, c.err, false
+	if unseen {
+		c.tag, c.err = core.Tag{}, nil
+		callPool.Put(c)
+	}
+	return tag, err, false
 }

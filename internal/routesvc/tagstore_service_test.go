@@ -44,8 +44,8 @@ func TestPrewarmFirstRequestCached(t *testing.T) {
 	if res.Tag != core.MustTag(s.Params(), 41) {
 		t.Fatalf("dense tag = %v", res.Tag)
 	}
-	if res.Path.Destination() != 41 {
-		t.Fatalf("dense-path destination = %d", res.Path.Destination())
+	if got := res.Path.Destination(s.Params()); got != 41 {
+		t.Fatalf("dense-path destination = %d", got)
 	}
 	m := s.Metrics()
 	if m.DenseRoutes != 64 || m.Prewarms != 1 || m.PrewarmRoutes != 64 {
