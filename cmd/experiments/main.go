@@ -24,7 +24,7 @@ import (
 func main() {
 	runID := flag.String("run", "", "comma-separated experiment ids to run (default: all)")
 	list := flag.Bool("list", false, "list experiments and exit")
-	intra := flag.Int("intra", 0, "worker goroutines inside each simulation run (0/1 = sequential; reports are bit-identical for every value)")
+	intra := flag.Int("intra", 0, "wormhole: worker goroutines inside each run (0/1 = sequential; reports are bit-identical for every value; packet runs are always sequential)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write an end-of-run heap profile to this file")
 	version := flag.Bool("version", false, "print version and exit")

@@ -79,8 +79,8 @@ func defaultOptions(N int) options {
 
 func main() {
 	n := flag.Int("n", 8, "network size N (power of two)")
-	workers := flag.Int("workers", 0, "worker goroutines for multi-run commands (0 = GOMAXPROCS/intra)")
-	intra := flag.Int("intra", 0, "worker goroutines inside each simulation run (0/1 = sequential; results are bit-identical for every value)")
+	workers := flag.Int("workers", 0, "worker goroutines for multi-run commands (0 = GOMAXPROCS, divided by -intra for wormhole runs)")
+	intra := flag.Int("intra", 0, "wormhole: worker goroutines inside each run (0/1 = sequential; results are bit-identical for every value; packet runs are always sequential)")
 	seed := flag.Int64("seed", 1, "PRNG seed for simulation commands (replicas use seed..seed+R-1)")
 	lanes := flag.Int("lanes", 2, "wormhole: virtual lanes per link (1..64)")
 	depth := flag.Int("depth", 2, "wormhole: flit buffer depth per lane")
@@ -237,7 +237,6 @@ func run(w io.Writer, o options, args []string) error {
 		base := simulator.Config{
 			N: N, Policy: pol, Load: load, QueueCap: 4,
 			Cycles: 5000, Warmup: 500, Seed: o.seed, Traffic: simulator.Uniform,
-			IntraWorkers: intra,
 		}
 		if replicas == 1 {
 			m, err := simulator.Run(base)

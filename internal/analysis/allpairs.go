@@ -4,13 +4,13 @@ import (
 	"fmt"
 
 	"iadm/internal/blockage"
-	"iadm/internal/fanout"
+	"iadm/internal/detsim"
 	"iadm/internal/paths"
 	"iadm/internal/topology"
 )
 
 // This file holds the all-pairs sweeps. They fan the N sources out over
-// a worker pool (internal/fanout) with one result slot per source and a
+// a worker pool (detsim.Rows) with one result slot per source and a
 // sequential source-order reduction, so every function here returns
 // bit-identical values for any worker count — the worker-invariance tests
 // assert exact equality, not tolerance.
@@ -21,7 +21,7 @@ import (
 func ReroutablePairs(p topology.Params, blk *blockage.Set, workers int) int {
 	N := p.Size()
 	rows := make([]int, N)
-	fanout.Rows(N, workers, func(lo, hi int) {
+	detsim.Rows(N, workers, func(lo, hi int) {
 		for s := lo; s < hi; s++ {
 			c := 0
 			for d := 0; d < N; d++ {
@@ -50,7 +50,7 @@ func ExpectedConnectivityExactWorkers(p topology.Params, q float64, workers int)
 	N := p.Size()
 	rows := make([]float64, N)
 	errs := make([]error, N)
-	fanout.Rows(N, workers, func(lo, hi int) {
+	detsim.Rows(N, workers, func(lo, hi int) {
 		for s := lo; s < hi; s++ {
 			sum := 0.0
 			for d := 0; d < N; d++ {

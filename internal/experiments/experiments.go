@@ -34,21 +34,18 @@ func register(id, title string, run func() (string, error)) {
 	registry[id] = experiment{title: title, run: run}
 }
 
-// IntraWorkers sets the per-run shard count applied to every simulator
+// IntraWorkers sets the per-run shard count applied to every wormhole
 // batch the experiments launch (cmd/experiments -intra). Because the
-// simulator's counter-based RNG makes results bit-identical for every
-// worker count, changing it can never alter an experiment's report —
-// goldens stay valid — it only trades cores between runs-in-parallel and
-// cycles-in-parallel within one run.
+// counter-based RNG makes results bit-identical for every worker count,
+// changing it can never alter an experiment's report — goldens stay
+// valid — it only trades cores between runs-in-parallel and
+// cycles-in-parallel within one run. Packet runs are always stepped
+// sequentially.
 var IntraWorkers int
 
-// runSims routes every experiment's simulator batch through one place,
-// applying the IntraWorkers override; RunMany's automatic worker sizing
-// then keeps runs x shards within GOMAXPROCS.
+// runSims routes every experiment's packet-simulator batch through one
+// place; RunMany spreads the runs over GOMAXPROCS workers.
 func runSims(cfgs []simulator.Config) ([]simulator.Metrics, error) {
-	for i := range cfgs {
-		cfgs[i].IntraWorkers = IntraWorkers
-	}
 	return simulator.RunMany(cfgs)
 }
 

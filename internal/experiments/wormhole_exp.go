@@ -14,9 +14,8 @@ func init() {
 }
 
 // runWormholeSims is runSims for the flit-level mode: one funnel applying
-// the IntraWorkers override. The wormhole engine shares the packet
-// simulator's bit-identical-for-every-shard-count guarantee, so the
-// override can never move a golden.
+// the IntraWorkers override. Wormhole results are bit-identical for every
+// shard count, so the override can never move a golden.
 func runWormholeSims(cfgs []wormhole.Config) ([]wormhole.Metrics, error) {
 	for i := range cfgs {
 		cfgs[i].IntraWorkers = IntraWorkers

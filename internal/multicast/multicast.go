@@ -22,7 +22,7 @@ import (
 
 	"iadm/internal/bitutil"
 	"iadm/internal/core"
-	"iadm/internal/fanout"
+	"iadm/internal/detsim"
 	"iadm/internal/topology"
 )
 
@@ -211,7 +211,7 @@ func BroadcastSweep(p topology.Params, ns *core.NetworkState, workers int) ([]in
 	}
 	counts := make([]int, p.Size())
 	errs := make([]error, p.Size())
-	fanout.Rows(p.Size(), workers, func(lo, hi int) {
+	detsim.Rows(p.Size(), workers, func(lo, hi int) {
 		for s := lo; s < hi; s++ {
 			tree, err := Broadcast(p, s, ns)
 			if err != nil {

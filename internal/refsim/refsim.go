@@ -13,27 +13,27 @@
 // config accepted by one runs on both and the results can be compared
 // field by field.
 //
-// RNG contract: both implementations draw from the same counter-based
-// generator — every draw is splitmix64-finalized from (seed, cycle,
+// RNG contract: both implementations draw from the counter hash of
+// internal/detsim — every draw is splitmix64-finalized from (seed, cycle,
 // entity, purpose), where the entity is the incoming-link index for
 // transit routing draws and the source index for injection-side draws,
-// and the purpose constants below are shared numerically with the
-// optimized core. Because a draw is a pure function of its coordinates
-// rather than a position in a stream, the two implementations make
-// identical random decisions no matter how differently they schedule the
-// work (including the optimized core's sharded engine), and for configs
-// with FaultRate == 0 every counter, histogram bucket and utilization
-// sample must match exactly — the strongest form of differential check.
-// The fault process is the one exception: refsim draws one Bernoulli per
-// link per cycle under its own purpose constant, while the optimized core
-// skip-samples a geometric chain, so fault configs are compared
-// statistically instead.
+// under the packet purpose constants of detsim's registry. Because a draw
+// is a pure function of its coordinates rather than a position in a
+// stream, the two implementations make identical random decisions no
+// matter how differently they schedule the work, and for configs with
+// FaultRate == 0 every counter, histogram bucket and utilization sample
+// must match exactly — the strongest form of differential check. The
+// oracle shares only the hash and the constants; its queues, arbitration
+// and scheduling are its own. The fault process is the one exception:
+// refsim draws one Bernoulli per link per cycle under its own purpose
+// constant (detsim.RefsimFault), while the optimized core skip-samples a
+// geometric chain, so fault configs are compared statistically instead.
 package refsim
 
 import (
 	"fmt"
-	"math"
 
+	"iadm/internal/detsim"
 	"iadm/internal/simulator"
 	"iadm/internal/stats"
 	"iadm/internal/topology"
@@ -43,61 +43,6 @@ import (
 type pkt struct {
 	dst  int
 	born int
-}
-
-// Draw-purpose domain separators, numerically identical to the optimized
-// core's (they are part of the RNG contract). refFault is refsim-only:
-// the per-link-per-cycle fault draws have no counterpart draw in the
-// optimized core, and a private domain keeps them from aliasing any
-// shared draw site.
-const (
-	drawLoad      = 0xa0761d6478bd642f
-	drawDst       = 0xe7037ed1a0b428db
-	drawHot       = 0x8ebc6af09c88c6e3
-	drawRoute     = 0x589965cc75374cc3
-	drawRouteInj  = 0x1d8e4e27c47d124f
-	drawBurst     = 0xeb44accab455d165
-	drawBurstInit = 0x2f9be6cc5be4f095
-	refFault      = 0x3c79ac492ba7b653 // refsim-only
-)
-
-// rng is the counter-based generator: each draw splitmix64-finalizes
-// (seed, cycle, entity, purpose), bit-for-bit identical to the optimized
-// core's — see the RNG contract in the package comment. Reimplemented
-// here rather than imported so the reference stays self-contained and a
-// regression in one copy cannot hide in both.
-type rng struct{ seed uint64 }
-
-func (r rng) word(cycle, entity, purpose uint64) uint64 {
-	mix := func(z uint64) uint64 {
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		return z ^ (z >> 31)
-	}
-	z := r.seed ^ purpose
-	z += cycle * 0x9e3779b97f4a7c15
-	z += entity * 0xd1b54a32d192ed03
-	return mix(mix(z) + 0x9e3779b97f4a7c15)
-}
-
-func (r rng) bit(cycle, entity, purpose uint64) bool { return r.word(cycle, entity, purpose)&1 == 0 }
-func (r rng) intn(mask, cycle, entity, purpose uint64) int {
-	return int(r.word(cycle, entity, purpose) & mask)
-}
-func (r rng) hit(threshold, cycle, entity, purpose uint64) bool {
-	return r.word(cycle, entity, purpose) < threshold
-}
-
-// threshold converts a probability into the integer compare threshold,
-// matching the optimized core's convention (p >= 1 maps to MaxUint64).
-func threshold(p float64) uint64 {
-	if p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return math.MaxUint64
-	}
-	return uint64(p * float64(1<<63) * 2)
 }
 
 // state is one reference simulation. Links are addressed by the same
@@ -110,7 +55,7 @@ type state struct {
 	n, N, L int
 	single  bool
 
-	rng    rng
+	rng    detsim.RNG
 	queues [][]pkt // one FIFO slice per link
 	toOf   []int   // destination switch of each link at the next stage
 
@@ -167,9 +112,9 @@ func Run(cfg simulator.Config) (simulator.Metrics, error) {
 		failUntil:  make([]int, L),
 		switchBusy: make([]bool, (n+1)*N),
 		forwards:   make([]int, L),
-		loadT:      threshold(cfg.Load),
-		hotT:       threshold(cfg.HotspotFrac),
-		faultT:     threshold(cfg.FaultRate),
+		loadT:      detsim.BernoulliThreshold(cfg.Load),
+		hotT:       detsim.BernoulliThreshold(cfg.HotspotFrac),
+		faultT:     detsim.BernoulliThreshold(cfg.FaultRate),
 		dstMask:    uint64(N - 1),
 	}
 	for idx := 0; idx < L; idx++ {
@@ -187,14 +132,14 @@ func Run(cfg simulator.Config) (simulator.Metrics, error) {
 	s.latClamp = latBuckets - 1
 
 	// Initial burst states use the optimized core's coordinates:
-	// (cycle 0, source, drawBurstInit).
-	s.rng = rng{seed: uint64(cfg.Seed)}
+	// (cycle 0, source, detsim.PacketBurstInit).
+	s.rng = detsim.NewRNG(cfg.Seed)
 	if cfg.Bursty {
 		s.burstOn = make([]bool, N)
-		s.burstStopT = threshold(1 / float64(cfg.BurstOn))
-		s.burstStartT = threshold(1 / float64(cfg.BurstOff))
+		s.burstStopT = detsim.BernoulliThreshold(1 / float64(cfg.BurstOn))
+		s.burstStartT = detsim.BernoulliThreshold(1 / float64(cfg.BurstOff))
 		for i := range s.burstOn {
-			s.burstOn[i] = s.rng.bit(0, uint64(i), drawBurstInit)
+			s.burstOn[i] = s.rng.Bit(0, uint64(i), detsim.PacketBurstInit)
 		}
 	}
 
@@ -243,7 +188,7 @@ func (s *state) chooseQueue(stage, sw, dst, cycle int, entity, purpose uint64) (
 		}
 		return minus, true
 	case simulator.RandomState:
-		if s.rng.bit(uint64(cycle), entity, purpose) {
+		if s.rng.Bit(uint64(cycle), entity, purpose) {
 			return plus, true
 		}
 		return minus, true
@@ -288,14 +233,14 @@ func (s *state) step(cycle int, measured bool) {
 		}
 	}
 	// One Bernoulli draw per link per cycle, keyed (cycle, link) under the
-	// refsim-only refFault domain; a hit on an already-failed link is
-	// discarded, so every *working* link fails with exactly FaultRate per
-	// cycle — the semantics the optimized core reproduces by geometric
-	// skip-sampling over its own fault domain (the draws differ, so fault
-	// configs are compared statistically, not exactly).
+	// refsim-only detsim.RefsimFault domain; a hit on an already-failed
+	// link is discarded, so every *working* link fails with exactly
+	// FaultRate per cycle — the semantics the optimized core reproduces
+	// by geometric skip-sampling over its own fault domain (the draws
+	// differ, so fault configs are compared statistically, not exactly).
 	if s.cfg.FaultRate > 0 {
 		for idx := 0; idx < s.L; idx++ {
-			if s.rng.hit(s.faultT, uint64(cycle), uint64(idx), refFault) && s.failUntil[idx] <= cycle {
+			if s.rng.Hit(s.faultT, uint64(cycle), uint64(idx), detsim.RefsimFault) && s.failUntil[idx] <= cycle {
 				s.failUntil[idx] = cycle + s.cfg.RepairCycles
 			}
 		}
@@ -343,7 +288,7 @@ func (s *state) step(cycle int, measured bool) {
 				continue
 			}
 			pk := s.queues[idx][0]
-			out, ok := s.chooseQueue(i+1, at, pk.dst, cycle, uint64(idx), drawRoute)
+			out, ok := s.chooseQueue(i+1, at, pk.dst, cycle, uint64(idx), detsim.PacketRoute)
 			if !ok {
 				s.queues[idx] = s.queues[idx][1:]
 				if measured {
@@ -368,26 +313,26 @@ func (s *state) step(cycle int, measured bool) {
 		c, e := uint64(cycle), uint64(src)
 		if s.cfg.Bursty {
 			if s.burstOn[src] {
-				if s.rng.hit(s.burstStopT, c, e, drawBurst) {
+				if s.rng.Hit(s.burstStopT, c, e, detsim.PacketBurst) {
 					s.burstOn[src] = false
 				}
-			} else if s.rng.hit(s.burstStartT, c, e, drawBurst) {
+			} else if s.rng.Hit(s.burstStartT, c, e, detsim.PacketBurst) {
 				s.burstOn[src] = true
 			}
 			if !s.burstOn[src] {
 				continue
 			}
 		}
-		if !s.rng.hit(s.loadT, c, e, drawLoad) {
+		if !s.rng.Hit(s.loadT, c, e, detsim.PacketLoad) {
 			continue
 		}
 		var dst int
 		if s.cfg.Traffic == simulator.Uniform {
-			dst = s.rng.intn(s.dstMask, c, e, drawDst)
+			dst = s.rng.Intn(s.dstMask, c, e, detsim.PacketDst)
 		} else {
 			dst = s.pickDestination(src, cycle)
 		}
-		out, ok := s.chooseQueue(0, src, dst, cycle, e, drawRouteInj)
+		out, ok := s.chooseQueue(0, src, dst, cycle, e, detsim.PacketRouteInj)
 		if !ok {
 			if measured {
 				s.dropped++
@@ -418,10 +363,10 @@ func (s *state) pickDestination(src, cycle int) int {
 	c, e := uint64(cycle), uint64(src)
 	switch s.cfg.Traffic {
 	case simulator.Hotspot:
-		if s.rng.hit(s.hotT, c, e, drawHot) {
+		if s.rng.Hit(s.hotT, c, e, detsim.PacketHot) {
 			return s.cfg.HotspotDest
 		}
-		return s.rng.intn(s.dstMask, c, e, drawDst)
+		return s.rng.Intn(s.dstMask, c, e, detsim.PacketDst)
 	case simulator.PermutationTraffic:
 		return s.cfg.Perm[src]
 	case simulator.BitComplementTraffic:
@@ -429,7 +374,7 @@ func (s *state) pickDestination(src, cycle int) int {
 	case simulator.Tornado:
 		return (src + s.N/2 - 1) % s.N
 	default:
-		return s.rng.intn(s.dstMask, c, e, drawDst)
+		return s.rng.Intn(s.dstMask, c, e, detsim.PacketDst)
 	}
 }
 

@@ -13,82 +13,32 @@
 // wormhole.Metrics surface and the validation contract
 // (wormhole.Validate), so any config accepted by one runs on both.
 //
-// RNG contract: both implementations draw from the same counter-based
-// generator — every draw splitmix64-finalized from (seed, cycle, entity,
-// purpose), where the entity is the dense lane index for in-flight head
-// routing and the source index for injection draws, and the purpose
-// constants below are shared numerically with internal/wormhole. Because
-// a draw is a pure function of its coordinates, the two implementations
-// make identical random decisions no matter how differently they
-// schedule the work (including the optimized engine's sharded stepping),
-// and for configs with FaultRate == 0 every counter, histogram bucket
-// and utilization sample must match exactly. The fault process is the
-// one exception: refwh draws one Bernoulli per link per cycle under its
-// own purpose constant while the optimized engine skip-samples a
-// geometric chain, so fault configs are compared statistically instead.
+// RNG contract: both implementations draw from the counter hash of
+// internal/detsim — every draw splitmix64-finalized from (seed, cycle,
+// entity, purpose), where the entity is the dense lane index for
+// in-flight head routing and the source index for injection draws, under
+// the wormhole purpose constants of detsim's registry. Because a draw is
+// a pure function of its coordinates, the two implementations make
+// identical random decisions no matter how differently they schedule the
+// work (including the optimized engine's sharded stepping), and for
+// configs with FaultRate == 0 every counter, histogram bucket and
+// utilization sample must match exactly. The oracle shares only the hash
+// and the constants; its lanes, arbitration and scheduling are its own.
+// The fault process is the one exception: refwh draws one Bernoulli per
+// link per cycle under its own purpose constant (detsim.RefwhFault)
+// while the optimized engine skip-samples a geometric chain, so fault
+// configs are compared statistically instead.
 package refwh
 
 import (
 	"fmt"
-	"math"
 
+	"iadm/internal/detsim"
 	"iadm/internal/simulator"
 	"iadm/internal/stats"
 	"iadm/internal/topology"
 	"iadm/internal/wormhole"
 )
-
-// Draw-purpose domain separators, numerically identical to
-// internal/wormhole's (they are part of the RNG contract). refWhFault is
-// refwh-only: the per-link-per-cycle fault draws have no counterpart in
-// the optimized engine (which skip-samples under its own constant), and
-// a private domain keeps them from aliasing any shared draw site.
-const (
-	drawWhLoad     = 0x9b1f3a6d25c7e84b
-	drawWhDst      = 0x6e3c89a5d1f0b72d
-	drawWhHot      = 0xc4a7e1925f36d80b
-	drawWhRoute    = 0x71d5bc0e9a248f63
-	drawWhRouteInj = 0x3f82d64b17c9ae05
-	refWhFault     = 0x2b64f18ea9c53d07 // refwh-only
-)
-
-// rng is the counter-based generator, bit-for-bit identical to the
-// optimized engine's. Reimplemented rather than imported so the
-// reference stays self-contained and a regression in one copy cannot
-// hide in both.
-type rng struct{ seed uint64 }
-
-func (r rng) word(cycle, entity, purpose uint64) uint64 {
-	mix := func(z uint64) uint64 {
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		return z ^ (z >> 31)
-	}
-	z := r.seed ^ purpose
-	z += cycle * 0x9e3779b97f4a7c15
-	z += entity * 0xd1b54a32d192ed03
-	return mix(mix(z) + 0x9e3779b97f4a7c15)
-}
-
-func (r rng) bit(cycle, entity, purpose uint64) bool { return r.word(cycle, entity, purpose)&1 == 0 }
-func (r rng) intn(mask, cycle, entity, purpose uint64) int {
-	return int(r.word(cycle, entity, purpose) & mask)
-}
-func (r rng) hit(threshold, cycle, entity, purpose uint64) bool {
-	return r.word(cycle, entity, purpose) < threshold
-}
-
-// threshold converts a probability into the integer compare threshold,
-// matching the optimized engine's convention (p >= 1 maps to MaxUint64).
-func threshold(p float64) uint64 {
-	if p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return math.MaxUint64
-	}
-	return uint64(p * float64(1<<63) * 2)
-}
 
 // flit is one unit of transfer; head/tail flags mark worm boundaries.
 // Every flit carries the packet's destination and head-injection cycle,
@@ -121,7 +71,7 @@ type state struct {
 	n, N, L, V, D int
 	single        bool
 
-	rng    rng
+	rng    detsim.RNG
 	lanes  []lane
 	rotate []int // per link: lane the arbiter scans first
 	toOf   []int
@@ -166,7 +116,7 @@ func Run(cfg wormhole.Config) (wormhole.Metrics, error) {
 		cfg: cfg, p: p,
 		n: n, N: N, L: L, V: V, D: D,
 		single:     cfg.Switches == simulator.SingleInput,
-		rng:        rng{seed: uint64(cfg.Seed)},
+		rng:        detsim.NewRNG(cfg.Seed),
 		lanes:      make([]lane, L*V),
 		rotate:     make([]int, L),
 		toOf:       make([]int, L),
@@ -178,9 +128,9 @@ func Run(cfg wormhole.Config) (wormhole.Metrics, error) {
 		srcDst:     make([]int, N),
 		srcBorn:    make([]int, N),
 		forwards:   make([]int, L),
-		loadT:      threshold(cfg.Load),
-		hotT:       threshold(cfg.HotspotFrac),
-		faultT:     threshold(cfg.FaultRate),
+		loadT:      detsim.BernoulliThreshold(cfg.Load),
+		hotT:       detsim.BernoulliThreshold(cfg.HotspotFrac),
+		faultT:     detsim.BernoulliThreshold(cfg.FaultRate),
 		dstMask:    uint64(N - 1),
 	}
 	for q := range s.lanes {
@@ -254,7 +204,7 @@ func (s *state) chooseLink(stage, sw, dst, cycle int, entity, purpose uint64) (i
 		}
 		return minus, true
 	case simulator.RandomState:
-		if s.rng.bit(uint64(cycle), entity, purpose) {
+		if s.rng.Bit(uint64(cycle), entity, purpose) {
 			return plus, true
 		}
 		return minus, true
@@ -355,7 +305,7 @@ func (s *state) forwardOne(e, at, stageOut, outBase, cycle int, measured bool, i
 		}
 		var q2 int
 		if f.head {
-			out, ok := s.chooseLink(stageOut, at, f.dst, cycle, uint64(q), drawWhRoute)
+			out, ok := s.chooseLink(stageOut, at, f.dst, cycle, uint64(q), detsim.WormRoute)
 			if !ok {
 				// No usable link: the worm dies here; the lane drains the
 				// body as it arrives.
@@ -419,7 +369,7 @@ func (s *state) step(cycle int, measured bool) {
 	// geometric skip-sampling over its own fault domain.
 	if s.cfg.FaultRate > 0 {
 		for idx := 0; idx < s.L; idx++ {
-			if s.rng.hit(s.faultT, uint64(cycle), uint64(idx), refWhFault) && s.failUntil[idx] <= cycle {
+			if s.rng.Hit(s.faultT, uint64(cycle), uint64(idx), detsim.RefwhFault) && s.failUntil[idx] <= cycle {
 				s.failUntil[idx] = cycle + s.cfg.RepairCycles
 			}
 		}
@@ -492,16 +442,16 @@ func (s *state) step(cycle int, measured bool) {
 			continue
 		}
 		c, e := uint64(cycle), uint64(src)
-		if !s.rng.hit(s.loadT, c, e, drawWhLoad) {
+		if !s.rng.Hit(s.loadT, c, e, detsim.WormLoad) {
 			continue
 		}
 		var dst int
 		if s.cfg.Traffic == simulator.Uniform {
-			dst = s.rng.intn(s.dstMask, c, e, drawWhDst)
+			dst = s.rng.Intn(s.dstMask, c, e, detsim.WormDst)
 		} else {
 			dst = s.pickDestination(src, cycle)
 		}
-		out, ok := s.chooseLink(0, src, dst, cycle, e, drawWhRouteInj)
+		out, ok := s.chooseLink(0, src, dst, cycle, e, detsim.WormRouteInj)
 		if !ok {
 			// Blockage at the very first hop: the packet never enters the
 			// network.
@@ -546,10 +496,10 @@ func (s *state) pickDestination(src, cycle int) int {
 	c, e := uint64(cycle), uint64(src)
 	switch s.cfg.Traffic {
 	case simulator.Hotspot:
-		if s.rng.hit(s.hotT, c, e, drawWhHot) {
+		if s.rng.Hit(s.hotT, c, e, detsim.WormHot) {
 			return s.cfg.HotspotDest
 		}
-		return s.rng.intn(s.dstMask, c, e, drawWhDst)
+		return s.rng.Intn(s.dstMask, c, e, detsim.WormDst)
 	case simulator.PermutationTraffic:
 		return s.cfg.Perm[src]
 	case simulator.BitComplementTraffic:
@@ -557,7 +507,7 @@ func (s *state) pickDestination(src, cycle int) int {
 	case simulator.Tornado:
 		return (src + s.N/2 - 1) % s.N
 	default:
-		return s.rng.intn(s.dstMask, c, e, drawWhDst)
+		return s.rng.Intn(s.dstMask, c, e, detsim.WormDst)
 	}
 }
 

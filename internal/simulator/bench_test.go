@@ -89,36 +89,31 @@ func BenchmarkHotspotRun(b *testing.B) {
 	}
 }
 
-// BenchmarkLargeN is the tracked intra-run scaling benchmark: one large-N
-// run stepped with 1..8 shards. workers=1 runs the sequential engine (the
-// no-overhead baseline); higher counts measure the sharded stepper, whose
-// results are bit-identical to the baseline. Cycle counts are kept small
-// so the full N x workers grid stays tractable; ns/op comparisons are
-// only meaningful within one N. Steady state must stay at 0 allocs/op for
-// every worker count (the pool parks persistent goroutines between runs).
+// BenchmarkLargeN is the tracked large-N benchmark: one run at N = 256,
+// 1024 and 4096, stepped sequentially (the only packet loop). Cycle
+// counts are kept small so the grid stays tractable; ns/op comparisons
+// are only meaningful within one N. The sub-benchmark names keep their
+// workers=1 suffix so the rows line up with BENCH_simulator.json.
+// Steady state must stay at 0 allocs/op.
 func BenchmarkLargeN(b *testing.B) {
 	for _, N := range []int{256, 1024, 4096} {
 		cycles := 50
 		if N >= 4096 {
 			cycles = 40
 		}
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("N=%d/workers=%d", N, workers), func(b *testing.B) {
-				r, err := NewRunner(Config{
-					N: N, Policy: AdaptiveSSDT, Load: 0.6, QueueCap: 4,
-					Cycles: cycles, Warmup: 5, Traffic: Uniform,
-					IntraWorkers: workers,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer r.Close()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					r.RunSeed(int64(i))
-				}
+		b.Run(fmt.Sprintf("N=%d/workers=1", N), func(b *testing.B) {
+			r, err := NewRunner(Config{
+				N: N, Policy: AdaptiveSSDT, Load: 0.6, QueueCap: 4,
+				Cycles: cycles, Warmup: 5, Traffic: Uniform,
 			})
-		}
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r.RunSeed(int64(i))
+			}
+		})
 	}
 }

@@ -1,6 +1,10 @@
 package simulator
 
-import "fmt"
+import (
+	"fmt"
+
+	"iadm/internal/detsim"
+)
 
 // The invariant checker is the simulator's in-core half of the
 // correctness tooling built around internal/refsim: after every cycle it
@@ -23,15 +27,7 @@ import "fmt"
 //     maintained total occupancy equals the sum of ring sizes.
 //  3. Latency histogram mass (end of run): sum(latHist) == Delivered, and
 //     the folded stats.Stream holds exactly one sample per delivery.
-//  4. Shard-merge correctness (sharded engine only): the merged counters,
-//     the conservation balance, and the merged latency-histogram mass all
-//     equal the exact sums over the per-shard accumulators. Invariants 1
-//     and 2's occupancy recount already anchors the merged totals to the
-//     ring ground truth every cycle; checkShardMerge re-verifies the
-//     merge itself at end of run. The bitset half of invariant 2 is
-//     skipped in shard mode, where occ is deliberately unmaintained (see
-//     ringQueues.pushQuiet).
-var invariantsEnabled = invariantsDefault
+var invariantsEnabled = detsim.Invariants
 
 // invariantCounters shadow the Metrics counters from cycle 0 (Metrics
 // only counts the measured window, so it cannot anchor a per-cycle
@@ -59,12 +55,9 @@ func (s *sim) checkInvariants(cycle int) {
 			panic(fmt.Sprintf("simulator invariant: cycle %d: queue %d head %d outside [0,%d)",
 				cycle, i, h, s.q.cap))
 		}
-		if s.intraP <= 1 { // the sharded engine does not maintain occ
-			bit := s.q.occ[i>>6]&(1<<uint(i&63)) != 0
-			if (n > 0) != bit {
-				panic(fmt.Sprintf("simulator invariant: cycle %d: queue %d length %d disagrees with occupancy bit %v",
-					cycle, i, n, bit))
-			}
+		if bit := s.q.occ[i>>6]&(1<<uint(i&63)) != 0; (n > 0) != bit {
+			panic(fmt.Sprintf("simulator invariant: cycle %d: queue %d length %d disagrees with occupancy bit %v",
+				cycle, i, n, bit))
 		}
 		total += int64(n)
 	}
@@ -75,39 +68,6 @@ func (s *sim) checkInvariants(cycle int) {
 	if s.ck.injected != s.ck.delivered+s.ck.dropped+total {
 		panic(fmt.Sprintf("simulator invariant: cycle %d: conservation broken: injected %d != delivered %d + dropped %d + occupied %d",
 			cycle, s.ck.injected, s.ck.delivered, s.ck.dropped, total))
-	}
-}
-
-// checkShardMerge verifies invariant 4 at end of a sharded run, after the
-// per-shard latency histograms are folded into s.latHist: the merged
-// histogram mass and the merged conservation counters must equal the
-// exact sums over the shards.
-func (s *sim) checkShardMerge() {
-	var mergedMass, shardMass int64
-	for _, c := range s.latHist {
-		mergedMass += int64(c)
-	}
-	var ckI, ckD, ckX int64
-	for k := range s.shards {
-		sh := &s.shards[k]
-		for _, c := range sh.latHist {
-			shardMass += int64(c)
-		}
-		ckI += sh.ckInjected
-		ckD += sh.ckDelivered
-		ckX += sh.ckDropped
-	}
-	if mergedMass != shardMass {
-		panic(fmt.Sprintf("simulator invariant: merged latency mass %d != sum over shards %d",
-			mergedMass, shardMass))
-	}
-	if s.ck.injected != ckI || s.ck.delivered != ckD || s.ck.dropped != ckX {
-		panic(fmt.Sprintf("simulator invariant: merged conservation counters (%d,%d,%d) != shard sums (%d,%d,%d)",
-			s.ck.injected, s.ck.delivered, s.ck.dropped, ckI, ckD, ckX))
-	}
-	if ckI != ckD+ckX+s.occupied {
-		panic(fmt.Sprintf("simulator invariant: shard-summed conservation broken: injected %d != delivered %d + dropped %d + occupied %d",
-			ckI, ckD, ckX, s.occupied))
 	}
 }
 

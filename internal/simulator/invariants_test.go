@@ -116,23 +116,3 @@ func TestInvariantLatencyMassPanics(t *testing.T) {
 	s.latHist[3] = 7 // phantom deliveries; the zero-load run delivers none
 	mustPanic(t, "latency histogram mass", func() { s.run() })
 }
-
-// TestInvariantCheckerOffByDefault documents that corrupted state goes
-// unnoticed when the checker is disabled (the production configuration):
-// the checker is opt-in, not a tax on the hot path.
-func TestInvariantCheckerOffByDefault(t *testing.T) {
-	prev := invariantsEnabled
-	invariantsEnabled = false
-	t.Cleanup(func() { invariantsEnabled = prev })
-	s, err := newSim(Config{N: 8, Policy: StaticC, Load: 0.5, QueueCap: 4, Cycles: 20, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.reset(1)
-	if s.check {
-		t.Fatal("sim armed with invariants disabled")
-	}
-	s.occupied = 99 // silently tolerated without the checker...
-	s.occupied = 0  // ...restore so the run itself stays sane
-	s.run()
-}

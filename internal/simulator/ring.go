@@ -84,37 +84,3 @@ func (q *ringQueues) pop(i int) packet {
 	}
 	return pk
 }
-
-// pushQuiet and popQuiet are push/pop without occupancy-bitset
-// maintenance. The sharded stepper iterates switches through their
-// incoming-link lists and never consults occ, but its shards would race
-// on the shared bitset words (a 64-link word spans shard boundaries); the
-// quiet variants keep every mutation inside the per-queue state a single
-// shard owns. A sim run stays on one engine throughout, and reset()
-// clears occ, so a stale bitset never leaks into the sequential sweeps.
-
-func (q *ringQueues) pushQuiet(i int, pk packet) (int32, bool) {
-	n := q.size[i]
-	if n >= q.cap {
-		return n, false
-	}
-	pos := q.head[i] + n
-	if pos >= q.cap {
-		pos -= q.cap
-	}
-	q.buf[int32(i)*q.cap+pos] = pk
-	q.size[i] = n + 1
-	return n + 1, true
-}
-
-func (q *ringQueues) popQuiet(i int) packet {
-	h := q.head[i]
-	pk := q.buf[int32(i)*q.cap+h]
-	h++
-	if h == q.cap {
-		h = 0
-	}
-	q.head[i] = h
-	q.size[i]--
-	return pk
-}

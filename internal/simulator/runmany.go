@@ -2,19 +2,43 @@ package simulator
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
+
+	"iadm/internal/detsim"
 )
 
+// batch is the packet engine's instance of the shared batch runner.
+var batch = detsim.Batch[Config, Metrics]{
+	Name:    "simulator",
+	Run:     Run,
+	Summary: configSummary,
+	Seed:    func(cfg *Config) *int64 { return &cfg.Seed },
+}
+
 // RunMany executes every config as an independent run, fanning out across
-// a worker pool of GOMAXPROCS goroutines. Each run uses its own
-// deterministically seeded RNG (cfg.Seed), so results are bit-identical to
-// calling Run on each config serially, in the same order as cfgs,
-// regardless of worker count or scheduling. On error the first failing
-// config (by index) is reported.
+// a worker pool of GOMAXPROCS goroutines. Each run's randomness is a pure
+// function of cfg.Seed, so results are bit-identical to calling Run on
+// each config serially, in the same order as cfgs, regardless of worker
+// count or scheduling. On error the first failing config (by index) is
+// reported.
 func RunMany(cfgs []Config) ([]Metrics, error) {
-	return RunManyWorkers(cfgs, 0)
+	return batch.RunMany(cfgs, 0)
+}
+
+// RunManyWorkers is RunMany with an explicit worker bound; workers <= 0
+// means GOMAXPROCS. This is where the packet engine's parallelism lives:
+// a run itself is always stepped sequentially.
+func RunManyWorkers(cfgs []Config, workers int) ([]Metrics, error) {
+	return batch.RunMany(cfgs, workers)
+}
+
+// Sweep builds and runs `points` configs derived from base: point i copies
+// base, sets the seed to base.Seed + i, then applies vary(i, &cfg) if vary
+// is non-nil (vary may override any field, including the seed). The runs
+// fan out across RunManyWorkers(workers) and the results come back in
+// point order: many independent seeds (or operating points) of one
+// scenario.
+func Sweep(base Config, points, workers int, vary func(i int, cfg *Config)) ([]Metrics, error) {
+	return batch.Sweep(base, points, workers, vary)
 }
 
 // configSummary renders the handful of Config fields that identify a run
@@ -25,94 +49,5 @@ func configSummary(cfg Config) string {
 	if cfg.FaultRate > 0 {
 		s += fmt.Sprintf(" faultRate=%v repair=%d", cfg.FaultRate, cfg.RepairCycles)
 	}
-	if cfg.IntraWorkers != 0 {
-		s += fmt.Sprintf(" intraWorkers=%d", cfg.IntraWorkers)
-	}
 	return s
-}
-
-// maxIntraWorkers is the largest effective per-run shard count across the
-// batch, the divisor of the nested-parallelism budget.
-func maxIntraWorkers(cfgs []Config) int {
-	max := 1
-	for i := range cfgs {
-		if p := effectiveIntra(normalized(cfgs[i])); p > max {
-			max = p
-		}
-	}
-	return max
-}
-
-// RunManyWorkers is RunMany with an explicit worker bound; workers <= 0
-// means automatic sizing: GOMAXPROCS goroutines, divided by the largest
-// per-run IntraWorkers in the batch so the nested product
-// runs x shards stays within GOMAXPROCS (an explicit workers value is
-// taken as-is — the caller owns the oversubscription trade-off then).
-func RunManyWorkers(cfgs []Config, workers int) ([]Metrics, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0) / maxIntraWorkers(cfgs)
-		if workers < 1 {
-			workers = 1
-		}
-	}
-	if workers > len(cfgs) {
-		workers = len(cfgs)
-	}
-	results := make([]Metrics, len(cfgs))
-	errs := make([]error, len(cfgs))
-	if workers <= 1 {
-		for i := range cfgs {
-			results[i], errs[i] = Run(cfgs[i])
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(cfgs) {
-						return
-					}
-					results[i], errs[i] = Run(cfgs[i])
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	for i, err := range errs {
-		if err != nil {
-			// Name both the index and the config: in a generated batch a
-			// validation failure from config k would otherwise be
-			// indistinguishable from config j's.
-			return nil, fmt.Errorf("simulator: run %d (%s): %w", i, configSummary(cfgs[i]), err)
-		}
-	}
-	return results, nil
-}
-
-// Sweep builds and runs `points` configs derived from base: point i copies
-// base, decorrelates the seed to base.Seed + i (the counter-based RNG
-// hashes the seed into every draw, so even adjacent seeds give
-// independent streams), then applies vary(i, &cfg) if vary is
-// non-nil — vary may override any field, including the seed. The runs fan
-// out across RunManyWorkers(workers) and the results come back in point
-// order. This is the replica-sweep shape of the EXPERIMENTS.md workloads:
-// many independent seeds (or operating points) of one scenario.
-func Sweep(base Config, points, workers int, vary func(i int, cfg *Config)) ([]Metrics, error) {
-	if points < 0 {
-		return nil, fmt.Errorf("simulator: sweep points %d < 0", points)
-	}
-	cfgs := make([]Config, points)
-	for i := range cfgs {
-		cfg := base
-		cfg.Seed = base.Seed + int64(i)
-		if vary != nil {
-			vary(i, &cfg)
-		}
-		cfgs[i] = cfg
-	}
-	return RunManyWorkers(cfgs, workers)
 }

@@ -366,6 +366,32 @@ func TestFaultRateValidation(t *testing.T) {
 	}
 }
 
+// TestTinyFaultRatesMatchFaultFree: a fault rate so small that 1-p
+// rounds to 1 must behave like no faults at all (as the refsim oracle's
+// zero threshold does), not fault every link on its first trial.
+func TestTinyFaultRatesMatchFaultFree(t *testing.T) {
+	cfg := Config{N: 64, Policy: AdaptiveSSDT, Load: 0.5, QueueCap: 4,
+		Cycles: 200, Warmup: 20, Seed: 5, Traffic: Uniform, RepairCycles: 10}
+	want, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Delivered == 0 {
+		t.Fatal("fault-free baseline delivered nothing")
+	}
+	for _, p := range []float64{1e-20, 5e-324} {
+		cfg.FaultRate = p
+		got, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !metricsEqual(got, want) {
+			t.Errorf("FaultRate %g: delivered %d dropped %d, want the fault-free %d and %d",
+				p, got.Delivered, got.Dropped, want.Delivered, want.Dropped)
+		}
+	}
+}
+
 func TestSwitchModelString(t *testing.T) {
 	if Crossbar.String() != "crossbar" || SingleInput.String() != "single-input" {
 		t.Error("SwitchModel strings wrong")

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"iadm/internal/detsim"
 	"iadm/internal/simulator"
 	"iadm/internal/topology"
 )
@@ -13,12 +14,11 @@ import (
 // contiguous column ranges [shardLo[k], shardLo[k+1]), and IntraWorkers
 // merely decides how many such ranges run concurrently (one covers the
 // whole column when the pool is off). Bit-identical results for every
-// worker count follow from the same two properties as the packet engine
-// (see internal/simulator/sharded.go):
+// worker count follow from two properties:
 //
 //  1. Every random draw is a pure function of (seed, cycle, entity,
-//     purpose), so its value does not depend on which worker evaluates
-//     it or when.
+//     purpose) (internal/detsim), so its value does not depend on which
+//     worker evaluates it or when.
 //
 //  2. Ownership sharding: within a phase, the owner of receiving switch
 //     `at` is the only goroutine touching (a) its incoming links' lane
@@ -67,31 +67,9 @@ func (sh *shardState) reset() {
 	clear(sh.latHist)
 }
 
-// advanceFaultTrial and stepFaults are the packet engine's geometric
-// fault skip-chain, keyed under the wormhole's own purpose constant: the
-// flattened (cycle, link) Bernoulli trial sequence is skip-sampled so the
-// cost is O(faults) per cycle, and the whole chain is a pure function of
-// the seed.
-func (s *sim) advanceFaultTrial(pos int64) int64 {
-	u := s.rng.word(uint64(pos+1), 0, drawWhFault)
-	return pos + geometricSkipFromWord(u, s.invLn1mF)
-}
-
-func (s *sim) stepFaults(cycle int) {
-	start := int64(cycle) * int64(s.L)
-	end := start + int64(s.L)
-	for s.nextFaultTrial < end {
-		idx := int(s.nextFaultTrial - start)
-		if int(s.failUntil[idx]) <= cycle {
-			s.failUntil[idx] = int32(cycle + s.cfg.RepairCycles)
-		}
-		s.nextFaultTrial = s.advanceFaultTrial(s.nextFaultTrial)
-	}
-}
-
 // linkBlocked reports whether a link is statically blocked or transiently
-// failed right now. Read-only during phases (stepFaults runs before the
-// first barrier of the cycle).
+// failed right now. Read-only during phases (the fault chain steps before
+// the first barrier of the cycle).
 func (s *sim) linkBlocked(idx int) bool {
 	if s.hasStatic && s.staticBlocked[idx] {
 		return true
@@ -133,7 +111,7 @@ func (s *sim) chooseLink(stage, sw, dst, cycle int, entity, purpose uint64) (int
 		}
 		return minus, true
 	case simulator.RandomState:
-		if s.rng.bit(uint64(cycle), entity, purpose) {
+		if s.rng.Bit(uint64(cycle), entity, purpose) {
 			return plus, true
 		}
 		return minus, true
@@ -160,10 +138,10 @@ func (s *sim) pickDestination(src, cycle int) int {
 	c, e := uint64(cycle), uint64(src)
 	switch s.traffic {
 	case simulator.Hotspot:
-		if s.rng.hit(s.hotT, c, e, drawWhHot) {
+		if s.rng.Hit(s.hotT, c, e, detsim.WormHot) {
 			return s.cfg.HotspotDest
 		}
-		return s.rng.intn(s.dstMask, c, e, drawWhDst)
+		return s.rng.Intn(s.dstMask, c, e, detsim.WormDst)
 	case simulator.PermutationTraffic:
 		return s.cfg.Perm[src]
 	case simulator.BitComplementTraffic:
@@ -171,7 +149,7 @@ func (s *sim) pickDestination(src, cycle int) int {
 	case simulator.Tornado:
 		return (src + s.N/2 - 1) % s.N
 	default:
-		return s.rng.intn(s.dstMask, c, e, drawWhDst)
+		return s.rng.Intn(s.dstMask, c, e, detsim.WormDst)
 	}
 }
 
@@ -249,7 +227,7 @@ func (s *sim) forwardOne(sh *shardState, e, at, stageOut, outBase, cycle int, me
 			}
 			var q2 int
 			if f.meta&metaHead != 0 {
-				out, ok := s.chooseLink(stageOut, at, int(f.dst), cycle, uint64(q), drawWhRoute)
+				out, ok := s.chooseLink(stageOut, at, int(f.dst), cycle, uint64(q), detsim.WormRoute)
 				if !ok {
 					// No usable link: the worm dies here. The head is
 					// discarded now; the lane drains the body as it
@@ -409,16 +387,16 @@ func (s *sim) shardInject(k, cycle int, measured bool) {
 			continue
 		}
 		c, e := uint64(cycle), uint64(src)
-		if !s.rng.hit(s.loadT, c, e, drawWhLoad) {
+		if !s.rng.Hit(s.loadT, c, e, detsim.WormLoad) {
 			continue
 		}
 		var dst int
 		if s.traffic == simulator.Uniform {
-			dst = s.rng.intn(s.dstMask, c, e, drawWhDst)
+			dst = s.rng.Intn(s.dstMask, c, e, detsim.WormDst)
 		} else {
 			dst = s.pickDestination(src, cycle)
 		}
-		out, ok := s.chooseLink(0, src, dst, cycle, e, drawWhRouteInj)
+		out, ok := s.chooseLink(0, src, dst, cycle, e, detsim.WormRouteInj)
 		if !ok {
 			// Blockage at the very first hop: the packet never enters the
 			// network (no flit counters move).
@@ -523,8 +501,8 @@ func (s *sim) run() Metrics {
 	for cycle := 0; cycle < total; cycle++ {
 		measured := cycle >= s.cfg.Warmup
 		s.nowCycle = cycle
-		if s.faulty {
-			s.stepFaults(cycle) // sequential: O(faults), read-only during phases
+		if s.faulty { // sequential: O(faults), read-only during phases
+			s.faults.Step(s.rng, cycle, s.cfg.RepairCycles, s.failUntil)
 		}
 		s.doPhase(jobDeliver, 0, cycle, measured)
 		for i := s.n - 2; i >= 0; i-- {

@@ -3,6 +3,8 @@ package wormhole
 import (
 	"fmt"
 	"math/bits"
+
+	"iadm/internal/detsim"
 )
 
 // The wormhole invariant checker, mirroring the packet simulator's: after
@@ -26,7 +28,7 @@ import (
 //  4. Shard-merge correctness (sharded engine only): the merged counters
 //     and latency mass equal the exact sums over the per-shard
 //     accumulators.
-var invariantsEnabled = invariantsDefault
+var invariantsEnabled = detsim.Invariants
 
 // checkInvariants verifies invariants 1 and 2 after a cycle. It panics
 // (rather than returning an error) because a violation means the core's

@@ -6,12 +6,11 @@ import (
 	"sync/atomic"
 )
 
-// Persistent intra-run worker pool, structurally identical to the packet
-// engine's (internal/simulator/sharded.go): helpers park on a channel
-// between runs, phases synchronize through an atomic counter with a
-// short spin before yielding, and the coordinator (the goroutine inside
-// run) contributes shard 0 itself — so a steady-state Runner run
-// performs zero heap allocations.
+// Persistent intra-run worker pool: helpers park on a channel between
+// runs, phases synchronize through an atomic counter with a short spin
+// before yielding, and the coordinator (the goroutine inside run)
+// contributes shard 0 itself — so a steady-state Runner run performs
+// zero heap allocations.
 
 // Phase job kinds dispatched to the pool.
 const (

@@ -2,17 +2,47 @@ package wormhole
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
+
+	"iadm/internal/detsim"
 )
+
+// batch is the wormhole engine's instance of the shared batch runner. A
+// run may shard itself (IntraWorkers), so automatic sizing divides
+// GOMAXPROCS by the batch's largest shard count.
+var batch = detsim.Batch[Config, Metrics]{
+	Name:    "wormhole",
+	Run:     Run,
+	Summary: configSummary,
+	Seed:    func(cfg *Config) *int64 { return &cfg.Seed },
+	Intra: func(cfg Config) int {
+		if cfg.N < 1 {
+			return 1 // invalid; Run will report it
+		}
+		return effectiveIntra(cfg)
+	},
+}
 
 // RunMany executes every config as an independent run, fanning out across
 // a worker pool. Each run's randomness is a pure function of cfg.Seed, so
 // results are bit-identical to calling Run on each config serially, in
 // the same order as cfgs, regardless of worker count or scheduling.
 func RunMany(cfgs []Config) ([]Metrics, error) {
-	return RunManyWorkers(cfgs, 0)
+	return batch.RunMany(cfgs, 0)
+}
+
+// RunManyWorkers is RunMany with an explicit worker bound; workers <= 0
+// means automatic sizing: GOMAXPROCS goroutines divided by the largest
+// per-run IntraWorkers in the batch, so the nested product runs x shards
+// stays within GOMAXPROCS.
+func RunManyWorkers(cfgs []Config, workers int) ([]Metrics, error) {
+	return batch.RunMany(cfgs, workers)
+}
+
+// Sweep builds and runs `points` configs derived from base: point i
+// copies base, decorrelates the seed to base.Seed + i, then applies
+// vary(i, &cfg) if non-nil. Results come back in point order.
+func Sweep(base Config, points, workers int, vary func(i int, cfg *Config)) ([]Metrics, error) {
+	return batch.Sweep(base, points, workers, vary)
 }
 
 // configSummary renders the handful of Config fields that identify a run
@@ -28,84 +58,4 @@ func configSummary(cfg Config) string {
 		s += fmt.Sprintf(" intraWorkers=%d", cfg.IntraWorkers)
 	}
 	return s
-}
-
-// maxIntraWorkers is the largest effective per-run shard count across the
-// batch, the divisor of the nested-parallelism budget.
-func maxIntraWorkers(cfgs []Config) int {
-	max := 1
-	for i := range cfgs {
-		if cfgs[i].N < 1 {
-			continue // invalid; Run will report it
-		}
-		if p := effectiveIntra(cfgs[i]); p > max {
-			max = p
-		}
-	}
-	return max
-}
-
-// RunManyWorkers is RunMany with an explicit worker bound; workers <= 0
-// means automatic sizing: GOMAXPROCS goroutines divided by the largest
-// per-run IntraWorkers in the batch, so the nested product runs x shards
-// stays within GOMAXPROCS.
-func RunManyWorkers(cfgs []Config, workers int) ([]Metrics, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0) / maxIntraWorkers(cfgs)
-		if workers < 1 {
-			workers = 1
-		}
-	}
-	if workers > len(cfgs) {
-		workers = len(cfgs)
-	}
-	results := make([]Metrics, len(cfgs))
-	errs := make([]error, len(cfgs))
-	if workers <= 1 {
-		for i := range cfgs {
-			results[i], errs[i] = Run(cfgs[i])
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(cfgs) {
-						return
-					}
-					results[i], errs[i] = Run(cfgs[i])
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("wormhole: run %d (%s): %w", i, configSummary(cfgs[i]), err)
-		}
-	}
-	return results, nil
-}
-
-// Sweep builds and runs `points` configs derived from base: point i
-// copies base, decorrelates the seed to base.Seed + i, then applies
-// vary(i, &cfg) if non-nil. Results come back in point order.
-func Sweep(base Config, points, workers int, vary func(i int, cfg *Config)) ([]Metrics, error) {
-	if points < 0 {
-		return nil, fmt.Errorf("wormhole: sweep points %d < 0", points)
-	}
-	cfgs := make([]Config, points)
-	for i := range cfgs {
-		cfg := base
-		cfg.Seed = base.Seed + int64(i)
-		if vary != nil {
-			vary(i, &cfg)
-		}
-		cfgs[i] = cfg
-	}
-	return RunManyWorkers(cfgs, workers)
 }

@@ -28,9 +28,9 @@
 // core: all lane FIFOs live in one preallocated flit array, per-link
 // bitmasks track non-empty and claimed lanes, credits are bare integer
 // counters, and the steady-state cycle loop performs zero heap
-// allocations. Randomness is the same counter-based discipline as
-// internal/simulator (every draw a pure function of seed, cycle, entity
-// and purpose — see rng.go), which is what makes the sharded intra-run
+// allocations. Randomness is the counter-based discipline of
+// internal/detsim shared with internal/simulator (every draw a pure
+// function of seed, cycle, entity and purpose), which is what makes the sharded intra-run
 // stepping (Config.IntraWorkers) bit-identical for every worker count and
 // lets internal/refwh re-derive every decision independently as a
 // differential oracle. Build with -tags simcheck to re-verify flit
@@ -44,6 +44,7 @@ import (
 	"runtime"
 
 	"iadm/internal/blockage"
+	"iadm/internal/detsim"
 	"iadm/internal/simulator"
 	"iadm/internal/stats"
 	"iadm/internal/topology"
@@ -151,7 +152,7 @@ type sim struct {
 	V int // lanes per link
 	D int // flits per lane
 
-	rng ctrRNG
+	rng detsim.RNG
 
 	// Lane FIFOs: one flat flit array, stride D per lane, with per-lane
 	// head/size cursors. credit[q] is the upstream view of lane q's free
@@ -184,10 +185,9 @@ type sim struct {
 	hasStatic     bool
 	blockable     bool
 
-	failUntil      []int32
-	faulty         bool
-	invLn1mF       float64
-	nextFaultTrial int64
+	failUntil []int32
+	faulty    bool
+	faults    detsim.FaultChain
 
 	// Per-source injection state: a source streams one packet at a time
 	// into its claimed stage-0 lane. pending is the flits still to inject
@@ -369,8 +369,8 @@ func newSim(cfg Config) (*sim, error) {
 		traffic:     cfg.Traffic,
 		singleInput: cfg.Switches == simulator.SingleInput,
 		faulty:      cfg.FaultRate > 0,
-		loadT:       bernoulliThreshold(cfg.Load),
-		hotT:        bernoulliThreshold(cfg.HotspotFrac),
+		loadT:       detsim.BernoulliThreshold(cfg.Load),
+		hotT:        detsim.BernoulliThreshold(cfg.HotspotFrac),
 		dstMask:     uint64(N - 1),
 	}
 	for idx := 0; idx < L; idx++ {
@@ -386,8 +386,8 @@ func newSim(cfg Config) (*sim, error) {
 			}
 		}
 	}
-	if s.faulty && cfg.FaultRate < 1 {
-		s.invLn1mF = 1 / math.Log(1-cfg.FaultRate)
+	if s.faulty {
+		s.faults = detsim.NewFaultChain(cfg.FaultRate, detsim.WormFaultSkip)
 	}
 	s.blockable = s.hasStatic || s.faulty
 	latBuckets := cfg.Warmup + cfg.Cycles + 1
@@ -435,7 +435,7 @@ func (s *sim) buildIn() {
 // reset rewinds the sim to cycle 0 with a fresh seed, reusing every
 // buffer.
 func (s *sim) reset(seed int64) {
-	s.rng = newCtrRNG(seed)
+	s.rng = detsim.NewRNG(seed)
 	clear(s.head)
 	clear(s.size)
 	clear(s.occMask)
@@ -463,7 +463,7 @@ func (s *sim) reset(seed int64) {
 		s.shards[k].reset()
 	}
 	if s.faulty {
-		s.nextFaultTrial = s.advanceFaultTrial(-1)
+		s.faults.Reset(s.rng)
 	}
 }
 

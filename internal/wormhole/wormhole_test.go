@@ -330,6 +330,33 @@ func TestValidation(t *testing.T) {
 	}
 }
 
+// TestTinyFaultRatesMatchFaultFree: a fault rate so small that 1-p
+// rounds to 1 must behave like no faults at all (as the refwh oracle's
+// zero threshold does), not fault every link on its first trial.
+func TestTinyFaultRatesMatchFaultFree(t *testing.T) {
+	cfg := baseConfig()
+	cfg.N = 64
+	cfg.RepairCycles = 10
+	want, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Delivered == 0 {
+		t.Fatal("fault-free baseline delivered nothing")
+	}
+	for _, p := range []float64{1e-20, 5e-324} {
+		cfg.FaultRate = p
+		got, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !metricsEqual(got, want) {
+			t.Errorf("FaultRate %g: delivered %d dropped %d, want the fault-free %d and %d",
+				p, got.Delivered, got.Dropped, want.Delivered, want.Dropped)
+		}
+	}
+}
+
 // TestLaneCountHelpsUnderLoad is the in-package half of the saturation
 // claim (E29 pins the full sweep): at saturating load, adding virtual
 // lanes must not reduce delivered flit throughput.
