@@ -120,15 +120,16 @@ bench-compare:
 
 # End-to-end smoke of the serving stack: boot iadmd (N=1024) on an
 # ephemeral port, drive iadmload through a singles phase and a
-# batch-heavy phase (mixed /route/batch sizes exercising the sliced
-# kernel fill, including non-multiples of 64), enforce zero request
-# errors / zero 5xx / SSDT hit rate >= 90% / sliced lanes used, then
-# SIGTERM and require a clean drain. A third phase floods a second daemon
+# batch-heavy phase (mixed /route/batch sizes, including non-multiples
+# of 64), enforce zero request errors / zero 5xx / every served tag
+# verified by the client / SSDT hit rate >= 90%, then SIGTERM and
+# require a clean drain. A third phase floods a second daemon
 # (tiny admission bound + artificial slow-path cost) at several times
 # slow-path saturation and requires sheds observed, zero 5xx, continued
 # successes, and a bounded client p99 (`iadmload -overload -check`). A
-# fourth phase boots `iadmd -prewarm` and requires a >= 99% SSDT hit
-# rate on pure-SSDT load starting from the very first request.
+# fourth phase boots a fresh `iadmd` and requires a >= 99% SSDT hit rate
+# on pure-SSDT load starting from the very first request (an SSDT tag is
+# the destination address, so it is never computed).
 serve-smoke:
 	GO='$(GO)' sh scripts/serve_smoke.sh
 

@@ -15,8 +15,7 @@
 // backends; within a partition each (src,dst) pair has a stable owner
 // replica so repeated requests hit a warm tag cache. /route/batch is
 // scatter-gathered — split by owning backend, fanned out concurrently,
-// merged back in input order so each backend's 64-lane sliced kernels
-// see dense lane blocks. /fault and /repair fan out to EVERY replica of
+// merged back in input order. /fault and /repair fan out to EVERY replica of
 // the partition and require every ack (Theorems 3.1/3.2: a replica left
 // un-invalidated would keep serving stale TSDT tags).
 //

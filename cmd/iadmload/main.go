@@ -27,14 +27,19 @@
 //
 // -batch sends fixed-size /route/batch requests; -batch-mix cycles through
 // a comma-separated list of sizes per iteration instead (sizes <= 1 go out
-// as single /route calls), exercising the server's sliced-kernel fill at
-// every remainder shape.
+// as single /route calls), exercising every batch size band the server
+// reports.
+//
+// Every tag the server returns (each 200 single and each successful batch
+// item) is verified with core alone: it must parse as an n-stage tag
+// (n = log2 N), followed from the request's source it must reach the
+// request's destination, and an SSDT tag must carry no state bits
+// (Theorem 3.1: the destination address is the tag).
 //
 // With -check the exit status enforces the smoke contract: no transport
-// errors, no non-200 route responses, no server-side 5xx, non-zero
-// throughput, and an SSDT cache hit rate of at least -min-ssdt-hit; when
-// any batching is requested, the server must also report sliced-kernel
-// lanes used.
+// errors, no non-200 route responses, no server-side 5xx, no tag that
+// failed verification, non-zero throughput, and an SSDT hit rate of at
+// least -min-ssdt-hit.
 //
 // -overload flips the contract for saturation rehearsals against a daemon
 // running admission control: shed responses (429 or batch items with code
@@ -62,8 +67,10 @@ import (
 	"time"
 
 	"iadm/internal/buildinfo"
+	"iadm/internal/core"
 	"iadm/internal/routesvc"
 	"iadm/internal/stats"
+	"iadm/internal/topology"
 )
 
 type loadConfig struct {
@@ -165,16 +172,45 @@ type workerStats struct {
 	faults       int // fault toggles sent
 	repairs      int // repair toggles sent
 	mutateErrors int // failed fault/repair posts
+	tags         int // served tags verified
+	badTags      int // served tags that failed verification
+	firstBadTag  string
 	lat          stats.Stream
 }
 
+// noteTag records one served tag's verification result.
+func (ws *workerStats) noteTag(err error) {
+	ws.tags++
+	if err != nil {
+		ws.badTags++
+		if ws.firstBadTag == "" {
+			ws.firstBadTag = err.Error()
+		}
+	}
+}
+
+// verifyTag checks that tag parses as an n-stage tag, leads from src to
+// dst (Lemma 2.1), and, for SSDT, carries no state bits (Theorem 3.1).
+func verifyTag(p topology.Params, src, dst int, scheme, tag string) error {
+	t, err := core.ParseTag(p.Stages(), tag)
+	if err != nil {
+		return fmt.Errorf("(%d, %d) %s: %v", src, dst, scheme, err)
+	}
+	if got := t.Follow(p, src).Destination(); got != dst {
+		return fmt.Errorf("(%d, %d) %s: tag %s reaches %d", src, dst, scheme, tag, got)
+	}
+	if scheme == "ssdt" && t.StateBits() != 0 {
+		return fmt.Errorf("(%d, %d) ssdt: tag %s has state bits", src, dst, tag)
+	}
+	return nil
+}
+
 type summary struct {
-	cfg       loadConfig
-	n         int
-	elapsed   time.Duration
-	total     workerStats
-	metrics   routesvc.MetricsJSON
-	batchUsed bool // any /route/batch traffic was requested
+	cfg     loadConfig
+	n       int
+	elapsed time.Duration
+	total   workerStats
+	metrics routesvc.MetricsJSON
 }
 
 func (s *summary) throughput() float64 {
@@ -240,11 +276,12 @@ func (s *summary) violations(cfg loadConfig) []string {
 	if s.metrics.HTTP5xx > 0 {
 		v = append(v, fmt.Sprintf("server counted %d 5xx", s.metrics.HTTP5xx))
 	}
+	if s.total.badTags > 0 {
+		v = append(v, fmt.Sprintf("%d of %d served tags failed verification (first: %s)",
+			s.total.badTags, s.total.tags, s.total.firstBadTag))
+	}
 	if cfg.tsdtFrac < 1 && s.metrics.Service.SSDTHitRate < cfg.minSSDTHit {
 		v = append(v, fmt.Sprintf("SSDT hit rate %.3f < %.3f", s.metrics.Service.SSDTHitRate, cfg.minSSDTHit))
-	}
-	if s.batchUsed && s.metrics.Service.SlicedLanes == 0 {
-		v = append(v, "batch traffic sent but server reports sliced kernel unused")
 	}
 	if !cfg.overload {
 		// In a normal run the server should never be driven into its
@@ -335,13 +372,9 @@ func run(cfg loadConfig, w io.Writer) (*summary, error) {
 			return nil, fmt.Errorf("%s serves N=%d, others N=%d", base, health.N, n)
 		}
 	}
-	if n < 2 {
-		return nil, fmt.Errorf("daemon reports N=%d", n)
-	}
-	// Stages = log2(n), for generating nonstraight churn links.
-	stages := 0
-	for 1<<stages < n {
-		stages++
+	p, err := topology.NewParams(n)
+	if err != nil {
+		return nil, fmt.Errorf("daemon reports N=%d: %v", n, err)
 	}
 
 	batchDesc := fmt.Sprintf("%d", cfg.batch)
@@ -363,19 +396,13 @@ func run(cfg loadConfig, w io.Writer) (*summary, error) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			results[id] = worker(cfg, mix, client, bases[id%len(bases)], n, stages, id, deadline)
+			results[id] = worker(cfg, mix, client, bases[id%len(bases)], p, id, deadline)
 		}(id)
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	batchUsed := cfg.batch > 1
-	for _, sz := range mix {
-		if sz > 1 {
-			batchUsed = true
-		}
-	}
-	sum := &summary{cfg: cfg, n: n, elapsed: elapsed, batchUsed: batchUsed}
+	sum := &summary{cfg: cfg, n: n, elapsed: elapsed}
 	sum.total.lat = newLatStream()
 	for i := range results {
 		r := &results[i]
@@ -388,6 +415,11 @@ func run(cfg loadConfig, w io.Writer) (*summary, error) {
 		sum.total.faults += r.faults
 		sum.total.repairs += r.repairs
 		sum.total.mutateErrors += r.mutateErrors
+		sum.total.tags += r.tags
+		sum.total.badTags += r.badTags
+		if sum.total.firstBadTag == "" {
+			sum.total.firstBadTag = r.firstBadTag
+		}
 		sum.total.lat.Merge(&r.lat)
 	}
 	// One /metrics scrape per target, merged into a single cluster view
@@ -418,11 +450,7 @@ func run(cfg loadConfig, w io.Writer) (*summary, error) {
 		sum.metrics.Service.TSDTHitRate, sum.metrics.Service.TSDT.Hits, sum.metrics.Service.TSDT.Hits+sum.metrics.Service.TSDT.Misses,
 		sum.metrics.Service.SSDT.Coalesced+sum.metrics.Service.TSDT.Coalesced,
 		sum.metrics.Service.CacheEntries, sum.metrics.HTTP5xx)
-	if sum.metrics.Service.SlicedBlocks > 0 {
-		fmt.Fprintf(w, "server: sliced kernel filled %d lanes in %d blocks (%.1f%% lane fill)\n",
-			sum.metrics.Service.SlicedLanes, sum.metrics.Service.SlicedBlocks,
-			100*sum.metrics.Service.SlicedFill)
-	}
+	fmt.Fprintf(w, "tags: %d verified, %d failed\n", sum.total.tags, sum.total.badTags)
 	if adm := sum.metrics.Service.Admission; cfg.overload || sum.sheds() > 0 || adm.Shed > 0 {
 		fmt.Fprintf(w, "overload: client saw %d 429s + %d shed batch items; server admitted %d, shed %d (%.1fx offered/admitted), threshold %d/%d, %d controller rounds\n",
 			sum.total.shed, sum.total.itemSheds, adm.Admitted, adm.Shed,
@@ -431,7 +459,8 @@ func run(cfg loadConfig, w io.Writer) (*summary, error) {
 	return sum, nil
 }
 
-func worker(cfg loadConfig, mix []int, client *http.Client, base string, n, stages, id int, deadline time.Time) workerStats {
+func worker(cfg loadConfig, mix []int, client *http.Client, base string, p topology.Params, id int, deadline time.Time) workerStats {
+	n, stages := p.Size(), p.Stages()
 	rng := rand.New(rand.NewSource(cfg.seed + int64(id)*0x9E3779B9))
 	var zipf *rand.Zipf
 	if cfg.zipfS > 1 {
@@ -522,16 +551,22 @@ func worker(cfg loadConfig, mix []int, client *http.Client, base string, n, stag
 				continue
 			}
 			ws.lat.Add(us)
-			for _, r := range out.Responses {
+			if len(out.Responses) != size {
+				ws.noteTag(fmt.Errorf("batch of %d answered %d items", size, len(out.Responses)))
+			}
+			for i, r := range out.Responses[:min(size, len(out.Responses))] {
 				switch {
 				case r.Code == "overload":
 					ws.itemSheds++
 				case r.Error != "":
 					ws.itemErrors++
+				default:
+					ws.noteTag(verifyTag(p, reqs[i].Src, reqs[i].Dst, reqs[i].Scheme, r.Tag))
 				}
 			}
 		} else {
-			url := fmt.Sprintf("%s/route?src=%d&dst=%d&scheme=%s", base, rng.Intn(n), pickDst(), pickScheme())
+			src, dst, scheme := rng.Intn(n), pickDst(), pickScheme()
+			url := fmt.Sprintf("%s/route?src=%d&dst=%d&scheme=%s", base, src, dst, scheme)
 			if net := pickNet(); net != "" {
 				url += "&net=" + net
 			}
@@ -543,11 +578,21 @@ func worker(cfg loadConfig, mix []int, client *http.Client, base string, n, stag
 				ws.transport++
 				continue
 			}
+			var out routesvc.RouteJSON
+			var decErr error
+			if resp.StatusCode == http.StatusOK {
+				decErr = routesvc.ReadRoute(resp.Body, &out)
+			}
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
 			switch resp.StatusCode {
 			case http.StatusOK:
+				if decErr != nil {
+					ws.transport++
+					continue
+				}
 				ws.lat.Add(us)
+				ws.noteTag(verifyTag(p, src, dst, scheme, out.Tag))
 			case http.StatusTooManyRequests:
 				// Admission refusal: fail-fast by design, so it still
 				// counts toward the client latency distribution.

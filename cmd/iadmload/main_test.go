@@ -1,12 +1,16 @@
 package main
 
 import (
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"iadm/internal/core"
 	"iadm/internal/routesvc"
+	"iadm/internal/topology"
 )
 
 func newTestServer(t *testing.T, n int) *httptest.Server {
@@ -245,5 +249,82 @@ func TestViolationsOverload(t *testing.T) {
 	s = mk()
 	if v := s.violations(loadConfig{tsdtFrac: 1}); len(v) != 1 {
 		t.Errorf("sheds without -overload: want 1 violation, got %v", v)
+	}
+}
+
+// TestRunFlagsWrongTags points the load generator at a backend that
+// answers every route, single or batched, with a tag leading to the wrong
+// destination: every served tag must fail verification and the -check
+// summary must report it.
+func TestRunFlagsWrongTags(t *testing.T) {
+	const n = 16
+	p := topology.MustParams(n)
+	wrong := func(rq routesvc.RouteJSON) routesvc.RouteJSON {
+		rq.Tag = core.MustTag(p, (rq.Dst+1)%n).String()
+		return rq
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
+		routesvc.WriteJSON(w, http.StatusOK, routesvc.HealthJSON{Status: "ok", N: n})
+	})
+	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+		routesvc.WriteJSON(w, http.StatusOK, routesvc.MetricsJSON{})
+	})
+	mux.HandleFunc("/route", func(w http.ResponseWriter, r *http.Request) {
+		rq, err := routesvc.ReadRouteRequest(r)
+		if err != nil {
+			t.Error(err)
+		}
+		routesvc.WriteJSON(w, http.StatusOK, wrong(rq))
+	})
+	mux.HandleFunc("/route/batch", func(w http.ResponseWriter, r *http.Request) {
+		var in, out routesvc.BatchJSON
+		if err := json.NewDecoder(r.Body).Decode(&in); err != nil {
+			t.Error(err)
+		}
+		for _, rq := range in.Requests {
+			out.Responses = append(out.Responses, wrong(rq))
+		}
+		routesvc.WriteJSON(w, http.StatusOK, out)
+	})
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+
+	cfg := loadConfig{addr: ts.URL, workers: 1, duration: 100 * time.Millisecond, tsdtFrac: 0.5, batchMix: "1,4", seed: 1}
+	var out strings.Builder
+	sum, err := run(cfg, &out)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if sum.total.tags == 0 || sum.total.badTags != sum.total.tags {
+		t.Fatalf("%d of %d wrong tags flagged\noutput:\n%s", sum.total.badTags, sum.total.tags, out.String())
+	}
+	v := sum.violations(cfg)
+	if len(v) != 1 || !strings.Contains(v[0], "failed verification") {
+		t.Errorf("violations = %v, want exactly the tag verification failure", v)
+	}
+}
+
+// TestVerifyTag pins the per-tag check: n-stage parse, Lemma 2.1 delivery
+// from the request's source, and no state bits on an SSDT tag.
+func TestVerifyTag(t *testing.T) {
+	p := topology.MustParams(8)
+	detour := core.MustTag(p, 6).FlipStateBit(1).String()
+	for _, c := range []struct {
+		src, dst int
+		scheme   string
+		tag      string
+		ok       bool
+	}{
+		{1, 6, "ssdt", core.MustTag(p, 6).String(), true},
+		{1, 6, "tsdt", detour, true},
+		{1, 6, "ssdt", detour, false},                             // state bits on SSDT
+		{1, 5, "tsdt", detour, false},                             // wrong destination
+		{1, 6, "tsdt", core.MustTag(p, 6).String() + "00", false}, // wrong length
+		{1, 6, "tsdt", "", false},
+	} {
+		if err := verifyTag(p, c.src, c.dst, c.scheme, c.tag); (err == nil) != c.ok {
+			t.Errorf("verifyTag(%d, %d, %s, %q) = %v, want ok=%v", c.src, c.dst, c.scheme, c.tag, err, c.ok)
+		}
 	}
 }

@@ -197,12 +197,12 @@ func (c *Controller) Route(s, d int) (core.Tag, core.Path, error) {
 // Stats is a point-in-time snapshot of the controller's cache behaviour
 // and map state.
 type Stats struct {
-	Hits         uint64 // requests answered from the tag cache
-	Misses       uint64 // tags computed with REROUTE
-	Fails        uint64 // rerouting failures (pair disconnected)
-	Epoch        uint64 // blockage-map version
-	CacheEntries int    // cached tags (stale epochs included)
-	BlockedLinks int    // currently blocked links
+	Hits         uint64 `json:"hits"`          // requests answered from the tag cache
+	Misses       uint64 `json:"misses"`        // tags computed with REROUTE
+	Fails        uint64 `json:"fails"`         // rerouting failures (pair disconnected)
+	Epoch        uint64 `json:"epoch"`         // blockage-map version
+	CacheEntries int    `json:"cache_entries"` // cached tags (stale epochs included)
+	BlockedLinks int    `json:"blocked_links"` // currently blocked links
 }
 
 // HitRate returns the fraction of requests served from the cache, or 0

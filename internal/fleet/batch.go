@@ -17,8 +17,7 @@ func (rt *Router) ownerAt(rq *routesvc.RouteJSON, rank int) int {
 }
 
 // group buckets the item indices in idx by their rank-th replica owner,
-// preserving input order inside every bucket so each backend receives a
-// dense, ordered sub-batch for its 64-lane sliced kernels.
+// preserving input order inside every bucket.
 func (rt *Router) group(reqs []routesvc.RouteJSON, idx []int, rank int) [][]int {
 	groups := make([][]int, len(rt.bks))
 	for _, i := range idx {

@@ -111,52 +111,3 @@ func (rt *Router) mutate(w http.ResponseWriter, r *http.Request, path string) {
 	}
 	routesvc.WriteJSON(w, http.StatusOK, out)
 }
-
-// PrewarmAck is one replica's acknowledgement of a prewarm fan-out.
-type PrewarmAck struct {
-	Backend string `json:"backend"`
-	Routes  int    `json:"routes"`
-	Epoch   uint64 `json:"epoch"`
-}
-
-// prewarm fans a dense-SSDT rebuild out to every replica of the named
-// partition. Like mutate, all replicas must succeed for a 200.
-func (rt *Router) prewarm(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		routesvc.WriteError(w, http.StatusBadRequest, "method "+r.Method, "invalid", 0)
-		return
-	}
-	net := r.URL.Query().Get("net")
-	set := rt.ring.ReplicaSet(net)
-	acks := make([]PrewarmAck, len(set))
-	errs := make([]error, len(set))
-	var wg sync.WaitGroup
-	for k, b := range set {
-		wg.Add(1)
-		go func(k, b int) {
-			defer wg.Done()
-			bk := rt.bks[b]
-			bk.reqs.Add(1)
-			resp, err := bk.client.Prewarm(net)
-			bk.observe(err)
-			if err != nil {
-				errs[k] = err
-				return
-			}
-			acks[k] = PrewarmAck{Backend: bk.base, Routes: resp.Routes, Epoch: resp.Epoch}
-		}(k, b)
-	}
-	wg.Wait()
-	for k, err := range errs {
-		if err != nil {
-			routesvc.WriteError(w, http.StatusBadGateway,
-				fmt.Sprintf("fleet: prewarm fan-out to replica %s failed: %v", rt.bks[set[k]].base, err),
-				"backend", 0)
-			return
-		}
-	}
-	routesvc.WriteJSON(w, http.StatusOK, struct {
-		Net  string       `json:"net,omitempty"`
-		Acks []PrewarmAck `json:"acks"`
-	}{Net: net, Acks: acks})
-}

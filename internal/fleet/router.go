@@ -168,7 +168,6 @@ func New(cfg Config) (*Router, error) {
 	rt.handle("/route/batch", rt.routeBatch)
 	rt.handle("/fault", rt.fault)
 	rt.handle("/repair", rt.repair)
-	rt.handle("/prewarm", rt.prewarm)
 	rt.handle("/healthz", rt.healthz)
 	rt.handle("/metrics", rt.metrics)
 	return rt, nil

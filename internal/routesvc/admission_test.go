@@ -72,9 +72,7 @@ func TestTSDTHitReportsValidatedEpoch(t *testing.T) {
 	var once sync.Once
 	s.testEpochHook = func() {
 		once.Do(func() {
-			if _, err := s.ReportFault(topology.Link{Stage: 2, From: 0, Kind: topology.Plus}); err != nil {
-				t.Error(err)
-			}
+			fault(t, s, topology.Link{Stage: 2, From: 0, Kind: topology.Plus})
 		})
 	}
 	res, err := s.Route(1, 6, SchemeTSDT)
@@ -100,8 +98,9 @@ func TestSwitchFaultChangedCount(t *testing.T) {
 	sw := topology.Switch{Stage: 1, Index: 3}
 	m := topology.IADM{Params: s.Params()}
 	in := m.InLinks(sw.Stage-1, sw.Index)
+	switchFault := func() (int, error) { return s.ApplyFaults(nil, []topology.Switch{sw}) }
 
-	changed, err := s.ReportSwitchFault(sw)
+	changed, err := switchFault()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,16 +110,25 @@ func TestSwitchFaultChangedCount(t *testing.T) {
 
 	// Repair one input link, re-report the switch: exactly the repaired
 	// link is re-blocked.
-	if ch, err := s.ReportRepair(in[0]); err != nil || !ch {
-		t.Fatalf("repair = (%v, %v)", ch, err)
+	if ch := repair(t, s, in[0]); ch != 1 {
+		t.Fatalf("repair changed %d links, want 1", ch)
 	}
-	if changed, err = s.ReportSwitchFault(sw); err != nil || changed != 1 {
+	if changed, err = switchFault(); err != nil || changed != 1 {
 		t.Fatalf("partial re-fault changed %d (%v), want 1", changed, err)
 	}
 
 	// Fully blocked already: a duplicate report changes nothing.
-	if changed, err = s.ReportSwitchFault(sw); err != nil || changed != 0 {
+	if changed, err = switchFault(); err != nil || changed != 0 {
 		t.Fatalf("duplicate switch fault changed %d (%v), want 0", changed, err)
+	}
+
+	// An invalid switch is refused before it counts as an ingested fault.
+	before := s.Metrics().Faults
+	if _, err := s.ApplyFaults(nil, []topology.Switch{{Stage: 9, Index: 0}}); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("invalid switch fault err = %v, want ErrInvalid", err)
+	}
+	if got := s.Metrics().Faults; got != before {
+		t.Errorf("invalid switch fault counted: faults_total %d -> %d", before, got)
 	}
 }
 
@@ -161,11 +169,9 @@ func TestOverloadShedsSlowPathOnly(t *testing.T) {
 	const G = 6
 	entered := make(chan struct{}, G)
 	unblock := make(chan struct{})
-	s.testComputeHook = func(sc Scheme) {
-		if sc == SchemeTSDT {
-			entered <- struct{}{}
-			<-unblock
-		}
+	s.testComputeHook = func() {
+		entered <- struct{}{}
+		<-unblock
 	}
 
 	errs := make(chan error, G)

@@ -5,12 +5,11 @@ import (
 	"testing"
 )
 
-// TestServingAllocs is the serving layer's exact allocs/op gate: on a
-// prewarmed service a cached pair routes with no allocation under either
-// scheme, and RouteBatch allocates only its []Result at every batch size,
+// TestServingAllocs is the serving layer's exact allocs/op gate: a cached
+// TSDT pair and any SSDT pair route with no allocation, and RouteBatch allocates only its []Result at every batch size,
 // lane-fill remainders included.
 func TestServingAllocs(t *testing.T) {
-	s := mustService(t, Config{N: 1024, Prewarm: true})
+	s := mustService(t, Config{N: 1024})
 	for _, scheme := range []Scheme{SchemeSSDT, SchemeTSDT} {
 		if _, err := s.Route(3, 700, scheme); err != nil {
 			t.Fatal(err)

@@ -7,28 +7,22 @@ import (
 	"iadm/internal/topology"
 )
 
-// cacheKey identifies one cacheable tag request. SSDT tags depend only on
-// the destination (Theorem 3.1: the destination address is the tag, for
-// every network state), so the Service normalizes Src to 0 for SSDT keys —
-// one entry serves every source. TSDT/REROUTE tags are per (src, dst).
+// cacheKey identifies one cacheable TSDT/REROUTE tag request. SSDT tags
+// are never stored: the destination address is the tag (Theorem 3.1).
 type cacheKey struct {
 	src, dst int32
-	scheme   Scheme
 }
 
 // hash spreads keys with a murmur3-style finalizer. The low bits select
 // the shard and the high bits the home slot inside it, so shard selection
 // never correlates with probe position.
 func (k cacheKey) hash() uint64 {
-	h := uint64(uint32(k.src))<<33 ^ uint64(uint32(k.dst))<<1 ^ uint64(k.scheme)
+	h := uint64(uint32(k.src))<<32 ^ uint64(uint32(k.dst))
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
 	return h
 }
-
-// ssdtEpoch is the stamp used for epoch-exempt SSDT entries.
-const ssdtEpoch = ^uint64(0)
 
 // defaultShards is the shard count used when Config.Shards is 0: enough
 // that 16 cores rarely collide, small enough to be noise at N=2.
@@ -44,22 +38,20 @@ const loadNum, loadDen = 13, 16
 
 // slotLayout describes how one cache entry packs into the slab. Every
 // entry is key + state bits + epoch stamp; the destination bits of the tag
-// are never stored because they equal the dst key (Theorem 3.1 for SSDT,
-// destination-preservation of REROUTE for TSDT), and the tag is
-// reassembled on hit with core.TagFromState.
+// are never stored because they equal the dst key (REROUTE preserves the
+// destination), and the tag is reassembled on hit with core.TagFromState.
 //
 // Compact layout (stages n <= 15, i.e. N <= 32768): one uint64 per slot —
 //
 //	bit 0          occupied
-//	bit 1          scheme
-//	bits 2..       src (n bits)
+//	bits 1..       src (n bits)
 //	..             dst (n bits)
 //	..             tag state bits (n bits)
-//	top 64-2-3n    epoch stamp (>= 17 bits)
+//	top 64-1-3n    epoch stamp (>= 18 bits)
 //
 // Wide layout (n >= 16): two uint64 per slot —
 //
-//	w0: bit 0 occupied | bit 1 scheme | src << 2 (31 bits) | dst << 33
+//	w0: bit 0 occupied | src << 1 (31 bits) | dst << 32
 //	w1: tag state bits (low 32) | epoch stamp << 32
 //
 // Epoch stamps are truncated to the layout's epoch field. A lookup hits
@@ -88,10 +80,10 @@ const minEpochBits = 17
 func newSlotLayout(p topology.Params) slotLayout {
 	n := uint(p.Stages())
 	l := slotLayout{p: p, n: n, fieldMask: 1<<n - 1}
-	if 2+3*n+minEpochBits <= 64 {
-		l.dstShift = 2 + n
-		l.stateShift = 2 + 2*n
-		l.epShift = 2 + 3*n
+	if 1+3*n+minEpochBits <= 64 {
+		l.dstShift = 1 + n
+		l.stateShift = 1 + 2*n
+		l.epShift = 1 + 3*n
 		l.keyMask = 1<<l.stateShift - 1
 		l.epMask = 1<<(64-l.epShift) - 1
 	} else {
@@ -113,25 +105,17 @@ func (l *slotLayout) stride() int {
 // slot's first word, excluding state/epoch fields.
 func (l *slotLayout) keyWord(k cacheKey) uint64 {
 	if l.wide {
-		return 1 | uint64(k.scheme)<<1 | uint64(uint32(k.src))<<2 | uint64(uint32(k.dst))<<33
+		return 1 | uint64(uint32(k.src))<<1 | uint64(uint32(k.dst))<<32
 	}
-	return 1 | uint64(k.scheme)<<1 | uint64(uint32(k.src))<<2 | uint64(uint32(k.dst))<<l.dstShift
+	return 1 | uint64(uint32(k.src))<<1 | uint64(uint32(k.dst))<<l.dstShift
 }
 
 // decodeKey is keyWord's inverse, used by rehash and sweep.
 func (l *slotLayout) decodeKey(w0 uint64) cacheKey {
 	if l.wide {
-		return cacheKey{
-			src:    int32(w0 >> 2 & (1<<31 - 1)),
-			dst:    int32(w0 >> 33),
-			scheme: Scheme(w0 >> 1 & 1),
-		}
+		return cacheKey{src: int32(w0 >> 1 & (1<<31 - 1)), dst: int32(w0 >> 32)}
 	}
-	return cacheKey{
-		src:    int32(w0 >> 2 & l.fieldMask),
-		dst:    int32(w0 >> l.dstShift & l.fieldMask),
-		scheme: Scheme(w0 >> 1 & 1),
-	}
+	return cacheKey{src: int32(w0 >> 1 & l.fieldMask), dst: int32(w0 >> l.dstShift & l.fieldMask)}
 }
 
 // tagCache is a sharded epoch-stamped tag cache over flat open-addressing
@@ -142,10 +126,8 @@ func (l *slotLayout) decodeKey(w0 uint64) cacheKey {
 //
 // Entries are stamped with the blockage-map epoch current when their tag
 // was computed; a lookup at a newer epoch misses (the entry "dies" lazily —
-// a fault or repair invalidates every stale TSDT entry by bumping the
-// epoch, with no flush on the mutation path). SSDT entries are
-// epoch-exempt: by Theorem 3.1 their tag is valid under every blockage
-// map, so they are stored with stamp ssdtEpoch and looked up the same way.
+// a fault or repair invalidates every stale entry by bumping the epoch,
+// with no flush on the mutation path).
 type tagCache struct {
 	mask   uint64
 	layout slotLayout
@@ -182,7 +164,7 @@ func (sh *cacheShard) reset(capacity int, stride int) {
 }
 
 // get returns the cached tag for k if present and not stale at the given
-// epoch. Pass ssdtEpoch for SSDT keys. It allocates nothing.
+// epoch. It allocates nothing.
 func (c *tagCache) get(k cacheKey, epoch uint64) (core.Tag, bool) {
 	h := k.hash()
 	sh := &c.shards[h&c.mask]
@@ -320,47 +302,9 @@ func (l *slotLayout) slotStamp(slots []uint64, i int) uint64 {
 	return slots[i] >> l.epShift
 }
 
-// len counts entries, live and stale alike (stale ones persist until swept
-// or overwritten).
-func (c *tagCache) len() int {
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.RLock()
-		n += sh.used
-		sh.mu.RUnlock()
-	}
-	return n
-}
-
-// stats counts live and stale entries separately at the given epoch: SSDT
-// entries are always live (epoch-exempt), TSDT entries are live only when
-// their stamp matches. Shards are scanned one lock at a time, so the split
-// is per-shard consistent, not globally atomic — same as len.
-func (c *tagCache) stats(epoch uint64) (live, stale int) {
-	l := &c.layout
-	stride := l.stride()
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.RLock()
-		for w := 0; w < len(sh.slots); w += stride {
-			w0 := sh.slots[w]
-			if w0&1 == 0 {
-				continue
-			}
-			if Scheme(w0>>1&1) == SchemeSSDT || l.slotStamp(sh.slots, w) == epoch&l.epMask {
-				live++
-			} else {
-				stale++
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	return live, stale
-}
-
-// snapshot is stats plus memoryBytes in ONE pass: each shard's entry
-// split and slab footprint are read under the same lock hold, so the
+// snapshot counts live entries (stamp matches epoch) and stale ones, and
+// sums the slab footprint, in ONE pass: each shard's entry split and slab
+// footprint are read under the same lock hold, so the
 // entries a scrape counts and the bytes it attributes to them can never
 // straddle a concurrent sweep's shard rebuild. (With two separate
 // passes, a sweep landing in between pairs a pre-sweep entry count with
@@ -380,7 +324,7 @@ func (c *tagCache) snapshot(epoch uint64) (live, stale int, bytes uint64) {
 			if w0&1 == 0 {
 				continue
 			}
-			if Scheme(w0>>1&1) == SchemeSSDT || l.slotStamp(sh.slots, w) == epoch&l.epMask {
+			if l.slotStamp(sh.slots, w) == epoch&l.epMask {
 				live++
 			} else {
 				stale++
@@ -391,23 +335,10 @@ func (c *tagCache) snapshot(epoch uint64) (live, stale int, bytes uint64) {
 	return live, stale, bytes
 }
 
-// memoryBytes reports the slab footprint across all shards.
-func (c *tagCache) memoryBytes() uint64 {
-	n := uint64(0)
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.RLock()
-		n += uint64(len(sh.slots)) * 8
-		sh.mu.RUnlock()
-	}
-	return n
-}
-
 // sweep drops every entry stale at the given epoch and returns how many it
-// removed. Epoch-exempt SSDT entries are never swept. Each shard is
-// rebuilt into a fresh slab sized for its surviving entries, so sweeping
-// also returns slab memory after fault churn — the map version could only
-// delete keys. Correctness never needs sweep (stale entries already miss);
+// removed. Each shard is rebuilt into a fresh slab sized for its
+// surviving entries, so sweeping also returns slab memory after fault
+// churn — the map version could only delete keys. Correctness never needs sweep (stale entries already miss);
 // it reclaims memory and, run at least once per epoch-stamp period,
 // guarantees truncated stamps never alias (see slotLayout).
 func (c *tagCache) sweep(epoch uint64) int {
@@ -425,7 +356,7 @@ func (c *tagCache) sweep(epoch uint64) int {
 			if w0&1 == 0 {
 				continue
 			}
-			if Scheme(w0>>1&1) == SchemeSSDT || l.slotStamp(sh.slots, w) == stamp {
+			if l.slotStamp(sh.slots, w) == stamp {
 				kept++
 			} else {
 				sh.slots[w] = 0 // clear so reinsert skips it

@@ -27,9 +27,8 @@ func tagStoreKeys(N int) []cacheKey {
 		// of i*K mod N repeat with period N and would alias the 13 keys of
 		// one source onto a single (src, dst) pair.
 		keys[i] = cacheKey{
-			src:    int32(i % N),
-			dst:    int32(uint64(i) * 0x9E3779B97F4A7C15 >> 32 % uint64(N)),
-			scheme: SchemeTSDT,
+			src: int32(i % N),
+			dst: int32(uint64(i) * 0x9E3779B97F4A7C15 >> 32 % uint64(N)),
 		}
 	}
 	return keys

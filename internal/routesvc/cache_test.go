@@ -8,6 +8,18 @@ import (
 	"iadm/internal/topology"
 )
 
+// len counts entries, live and stale alike.
+func (c *tagCache) len() int {
+	live, stale, _ := c.snapshot(0)
+	return live + stale
+}
+
+// memoryBytes reports the slab footprint across all shards.
+func (c *tagCache) memoryBytes() uint64 {
+	_, _, bytes := c.snapshot(0)
+	return bytes
+}
+
 func TestCacheShardRounding(t *testing.T) {
 	p := topology.MustParams(8)
 	for _, tc := range []struct{ in, want int }{
@@ -26,8 +38,8 @@ func TestCacheShardRounding(t *testing.T) {
 func TestCacheEpochStamping(t *testing.T) {
 	p := topology.MustParams(8)
 	c := newTagCache(4, p)
-	k := cacheKey{src: 1, dst: 5, scheme: SchemeTSDT}
-	tag := core.MustTag(p, 5)
+	k := cacheKey{src: 1, dst: 5}
+	tag := core.MustTag(p, 5).FlipStateBit(1)
 
 	if _, ok := c.get(k, 0); ok {
 		t.Fatal("hit on empty cache")
@@ -43,40 +55,36 @@ func TestCacheEpochStamping(t *testing.T) {
 		t.Fatal("entry served at an older epoch")
 	}
 
-	// SSDT entries use the exempt stamp and ignore map epochs entirely.
-	ks := cacheKey{src: 0, dst: 5, scheme: SchemeSSDT}
-	c.put(ks, tag, ssdtEpoch)
-	if _, ok := c.get(ks, ssdtEpoch); !ok {
-		t.Fatal("SSDT entry missed")
-	}
+	// A second entry stamped at the sweep epoch survives the sweep.
+	k2 := cacheKey{src: 0, dst: 5}
+	c.put(k2, tag, 9)
 	if c.len() != 2 {
 		t.Fatalf("len = %d, want 2", c.len())
 	}
 	if removed := c.sweep(9); removed != 1 {
-		t.Fatalf("sweep removed %d, want 1 (the stale TSDT entry)", removed)
+		t.Fatalf("sweep removed %d, want 1 (the stale entry)", removed)
 	}
-	if _, ok := c.get(ks, ssdtEpoch); !ok {
-		t.Fatal("sweep removed the epoch-exempt SSDT entry")
+	if got, ok := c.get(k2, 9); !ok || got != tag {
+		t.Fatal("sweep removed the live entry")
 	}
 }
 
 func TestCacheKeysDoNotCollide(t *testing.T) {
-	// Same (src, dst) under different schemes, and swapped pairs, are
-	// distinct keys.
+	// Swapped pairs and pairs sharing a destination are distinct keys.
 	p := topology.MustParams(8)
 	c := newTagCache(1, p) // one shard: collisions would overwrite
 	t1, t2, t3 := core.MustTag(p, 5), core.MustTag(p, 1), core.MustTag(p, 5).FlipStateBit(0)
-	c.put(cacheKey{src: 1, dst: 5, scheme: SchemeTSDT}, t1, 7)
-	c.put(cacheKey{src: 5, dst: 1, scheme: SchemeTSDT}, t2, 7)
-	c.put(cacheKey{src: 0, dst: 5, scheme: SchemeSSDT}, t3, ssdtEpoch)
-	if got, _ := c.get(cacheKey{src: 1, dst: 5, scheme: SchemeTSDT}, 7); got != t1 {
+	c.put(cacheKey{src: 1, dst: 5}, t1, 7)
+	c.put(cacheKey{src: 5, dst: 1}, t2, 7)
+	c.put(cacheKey{src: 0, dst: 5}, t3, 7)
+	if got, _ := c.get(cacheKey{src: 1, dst: 5}, 7); got != t1 {
 		t.Error("pair (1,5) clobbered")
 	}
-	if got, _ := c.get(cacheKey{src: 5, dst: 1, scheme: SchemeTSDT}, 7); got != t2 {
+	if got, _ := c.get(cacheKey{src: 5, dst: 1}, 7); got != t2 {
 		t.Error("pair (5,1) clobbered")
 	}
-	if got, _ := c.get(cacheKey{src: 0, dst: 5, scheme: SchemeSSDT}, ssdtEpoch); got != t3 {
-		t.Error("SSDT key collided with TSDT key")
+	if got, _ := c.get(cacheKey{src: 0, dst: 5}, 7); got != t3 {
+		t.Error("pair (0,5) collided with (1,5)")
 	}
 }
 
@@ -90,7 +98,7 @@ func TestCacheConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				k := cacheKey{src: int32(g), dst: int32(i % 16), scheme: Scheme(i % 2)}
+				k := cacheKey{src: int32(g), dst: int32(i % 16)}
 				c.put(k, core.MustTag(p, i%16), uint64(i%4))
 				c.get(k, uint64(i%4))
 				if i%100 == 0 {

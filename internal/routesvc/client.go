@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"time"
 
 	"iadm/internal/core"
@@ -177,17 +176,6 @@ func (c *Client) Fault(net string, links, switches []string) (MutateJSON, error)
 func (c *Client) Repair(net string, links []string) (MutateJSON, error) {
 	var out MutateJSON
 	err := c.PostJSON("/repair", MutateJSON{Net: net, Links: links}, &out)
-	return out, err
-}
-
-// Prewarm rebuilds net's dense SSDT table.
-func (c *Client) Prewarm(net string) (PrewarmJSON, error) {
-	var out PrewarmJSON
-	path := "/prewarm"
-	if net != "" {
-		path += "?" + url.Values{"net": {net}}.Encode()
-	}
-	err := c.PostJSON(path, struct{}{}, &out)
 	return out, err
 }
 

@@ -40,9 +40,9 @@ func (w *discardWriter) WriteHeader(int)             {}
 func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
 
 // BenchmarkHandlerBatch serves one 200-item batch per op through the
-// Handler on a prewarmed N=1024 service: decode, RouteBatch, encode.
+// Handler on an N=1024 service: decode, RouteBatch, encode.
 func BenchmarkHandlerBatch(b *testing.B) {
-	svc := mustService(b, Config{N: 1024, Prewarm: true})
+	svc := mustService(b, Config{N: 1024})
 	h := NewHandler(svc)
 	body := benchBatchBody(b)
 	req := httptest.NewRequest(http.MethodPost, "/route/batch", nil)
@@ -75,7 +75,7 @@ func BenchmarkDecodeBatch(b *testing.B) {
 }
 
 func BenchmarkEncodeBatch(b *testing.B) {
-	svc := mustService(b, Config{N: 1024, Prewarm: true})
+	svc := mustService(b, Config{N: 1024})
 	var in BatchJSON
 	if err := json.Unmarshal(benchBatchBody(b), &in); err != nil {
 		b.Fatal(err)

@@ -89,7 +89,6 @@ func newHandler() *Handler {
 	h.handle("/route/batch", h.routeBatch)
 	h.handle("/fault", h.fault)
 	h.handle("/repair", h.repair)
-	h.handle("/prewarm", h.prewarm)
 	h.handle("/healthz", h.healthz)
 	h.handle("/metrics", h.metrics)
 	return h
@@ -356,10 +355,9 @@ func netName(n string) string {
 }
 
 // routeMixed serves a batch spanning several networks: items are grouped
-// by network, preserving input order inside each group so every
-// per-network sub-batch still packs dense 64-lane sliced blocks, and a
-// group whose network fails answers per-item errors. It returns the
-// results in input order and the highest epoch any network reported.
+// by network, preserving input order inside each group, and a group whose
+// network fails answers per-item errors. It returns the results in input
+// order and the highest epoch any network reported.
 func (h *Handler) routeMixed(items []RouteJSON, reqs []Request) ([]Result, uint64) {
 	var order []string
 	groups := make(map[string][]int)
@@ -477,33 +475,6 @@ func (h *Handler) mutate(w http.ResponseWriter, r *http.Request, isFault bool) {
 	})
 }
 
-// PrewarmJSON is the wire form of a /prewarm response.
-type PrewarmJSON struct {
-	Routes int    `json:"routes"`
-	Epoch  uint64 `json:"epoch"`
-}
-
-// prewarm rebuilds the dense SSDT table on demand (POST /prewarm), the
-// operator-facing twin of the -prewarm daemon flag and the storm-triggered
-// automatic rebuild.
-func (h *Handler) prewarm(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		h.writeErr(w, fmt.Errorf("%w: method %s", ErrInvalid, r.Method))
-		return
-	}
-	svc, err := h.service(r.URL.Query().Get("net"))
-	if err != nil {
-		h.writeErr(w, err)
-		return
-	}
-	routes, err := svc.Prewarm()
-	if err != nil {
-		h.writeErr(w, err)
-		return
-	}
-	WriteJSON(w, http.StatusOK, PrewarmJSON{Routes: routes, Epoch: svc.Epoch()})
-}
-
 // HealthJSON is the wire form of /healthz. Nets counts the networks a
 // multi-network host has materialized (0 on single-network handlers,
 // whose one network is implicit).
@@ -550,7 +521,7 @@ type EndpointJSON struct {
 // controller's REROUTE cache snapshot.
 type MetricsJSON struct {
 	Service    Metrics                 `json:"service"`
-	Controller ControllerJSON          `json:"controller"`
+	Controller controller.Stats        `json:"controller"`
 	Endpoints  map[string]EndpointJSON `json:"endpoints"`
 	Networks   []NetMetrics            `json:"networks,omitempty"`
 	HTTP5xx    uint64                  `json:"http_5xx"`
@@ -569,30 +540,6 @@ type NetMetrics struct {
 	Replicas     int    `json:"replicas,omitempty"`
 }
 
-// controllerStats converts the wire ControllerJSON back to the internal
-// controller.Stats (Metrics.Controller is json:"-", so a decoded scrape
-// carries the controller counters only in MetricsJSON.Controller).
-func controllerStats(c ControllerJSON) controller.Stats {
-	return controller.Stats{
-		Hits:         c.Hits,
-		Misses:       c.Misses,
-		Fails:        c.Fails,
-		Epoch:        c.Epoch,
-		CacheEntries: c.CacheEntries,
-		BlockedLinks: c.BlockedLinks,
-	}
-}
-
-// ControllerJSON mirrors controller.Stats onto the wire.
-type ControllerJSON struct {
-	Hits         uint64 `json:"hits"`
-	Misses       uint64 `json:"misses"`
-	Fails        uint64 `json:"fails"`
-	Epoch        uint64 `json:"epoch"`
-	CacheEntries int    `json:"cache_entries"`
-	BlockedLinks int    `json:"blocked_links"`
-}
-
 // Metrics builds the /metrics payload (exported so load generators can
 // decode it with the same type).
 func (h *Handler) Metrics() MetricsJSON {
@@ -604,20 +551,13 @@ func (h *Handler) Metrics() MetricsJSON {
 		m = h.svc.Metrics()
 	}
 	out := MetricsJSON{
-		Service:  m,
-		Networks: nets,
-		Controller: ControllerJSON{
-			Hits:         m.Controller.Hits,
-			Misses:       m.Controller.Misses,
-			Fails:        m.Controller.Fails,
-			Epoch:        m.Controller.Epoch,
-			CacheEntries: m.Controller.CacheEntries,
-			BlockedLinks: m.Controller.BlockedLinks,
-		},
-		Endpoints: make(map[string]EndpointJSON, len(h.eps)),
-		HTTP5xx:   h.http5xx.Load(),
-		HTTP429:   h.http429.Load(),
-		UptimeSec: time.Since(h.start).Seconds(),
+		Service:    m,
+		Networks:   nets,
+		Controller: m.Controller,
+		Endpoints:  make(map[string]EndpointJSON, len(h.eps)),
+		HTTP5xx:    h.http5xx.Load(),
+		HTTP429:    h.http429.Load(),
+		UptimeSec:  time.Since(h.start).Seconds(),
 	}
 	for path, es := range h.eps {
 		es.mu.Lock()

@@ -53,11 +53,9 @@ func TestHTTPOverload(t *testing.T) {
 
 	entered := make(chan struct{}, 1)
 	unblock := make(chan struct{})
-	svc.testComputeHook = func(sc Scheme) {
-		if sc == SchemeTSDT {
-			entered <- struct{}{}
-			<-unblock
-		}
+	svc.testComputeHook = func() {
+		entered <- struct{}{}
+		<-unblock
 	}
 
 	// Occupy the single slow-path slot with a TSDT compute parked in the

@@ -84,9 +84,10 @@ func TestHTTPRoute(t *testing.T) {
 		t.Error("second request not cached")
 	}
 
-	// POST body form.
+	// POST body form. An SSDT tag is the destination, served cached from
+	// the first request.
 	postJSON(t, ts.URL+"/route", RouteJSON{Src: 2, Dst: 3, Scheme: "ssdt"}, http.StatusOK, &got)
-	if got.Scheme != "ssdt" || got.Tag == "" {
+	if got.Scheme != "ssdt" || got.Tag != core.MustTag(p, 3).String() || !got.Cached {
 		t.Fatalf("POST route response %+v", got)
 	}
 
@@ -176,8 +177,8 @@ func TestHTTPBatch(t *testing.T) {
 			t.Errorf("response %d: %+v", i, r)
 		}
 	}
-	if !got.Responses[2].Cached {
-		t.Error("SSDT entry not shared within the batch")
+	if !got.Responses[1].Cached || !got.Responses[2].Cached {
+		t.Error("SSDT batch items not served by construction")
 	}
 	if !strings.Contains(got.Responses[3].Error, "invalid") {
 		t.Errorf("bad pair error %q", got.Responses[3].Error)
@@ -207,7 +208,8 @@ func TestHTTPHealthAndMetrics(t *testing.T) {
 		t.Fatalf("healthz %+v", health)
 	}
 
-	// Traffic: 1 miss + 9 hits on one SSDT key, one fault.
+	// Traffic: 10 SSDT requests (all hits: SSDT computes nothing), one
+	// fault.
 	for i := 0; i < 10; i++ {
 		getJSON(t, ts.URL+fmt.Sprintf("/route?src=%d&dst=9&scheme=ssdt", i%4), http.StatusOK, nil)
 	}
@@ -218,10 +220,10 @@ func TestHTTPHealthAndMetrics(t *testing.T) {
 	if m.Service.N != 16 || m.Service.Epoch != 1 {
 		t.Errorf("metrics service %+v", m.Service)
 	}
-	if m.Service.SSDT.Hits != 9 || m.Service.SSDT.Misses != 1 {
+	if m.Service.SSDT.Hits != 10 || m.Service.SSDT.Misses != 0 {
 		t.Errorf("ssdt cache stats %+v", m.Service.SSDT)
 	}
-	if m.Service.SSDTHitRate < 0.89 {
+	if m.Service.SSDTHitRate != 1 {
 		t.Errorf("ssdt hit rate %v", m.Service.SSDTHitRate)
 	}
 	if m.Service.Faults != 1 || m.Service.Invalidations != 1 {
@@ -252,5 +254,34 @@ func TestHTTPHealthAndMetrics(t *testing.T) {
 	}
 	if m.HTTP5xx != 0 {
 		t.Errorf("drain refusals counted as 5xx: %d", m.HTTP5xx)
+	}
+}
+
+// TestHTTPMetricsControllerObject pins the /metrics "controller" object,
+// keys and values, for a service with one fault and two TSDT routes, and
+// checks the service object carries no dense-table or sliced-kernel keys.
+func TestHTTPMetricsControllerObject(t *testing.T) {
+	_, ts := newTestServer(t, Config{N: 8})
+	postJSON(t, ts.URL+"/fault", MutateJSON{Links: []string{"0:3:+"}}, http.StatusOK, nil)
+	for _, q := range []string{"src=1&dst=6", "src=2&dst=5", "src=1&dst=6"} {
+		getJSON(t, ts.URL+"/route?scheme=tsdt&"+q, http.StatusOK, nil)
+	}
+	var doc map[string]json.RawMessage
+	getJSON(t, ts.URL+"/metrics", http.StatusOK, &doc)
+	// The repeated pair hits the service cache and never reaches the
+	// controller.
+	const want = `{"hits":0,"misses":2,"fails":0,"epoch":1,"cache_entries":2,"blocked_links":1}`
+	if got := string(doc["controller"]); got != want {
+		t.Errorf("controller object = %s, want %s", got, want)
+	}
+	var svc map[string]json.RawMessage
+	if err := json.Unmarshal(doc["service"], &svc); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"dense_routes", "prewarms_total", "prewarm_routes_total",
+		"sliced_lanes_utilized", "sliced_blocks_total", "sliced_lane_fill"} {
+		if _, ok := svc[k]; ok {
+			t.Errorf("service metrics still carry %q", k)
+		}
 	}
 }

@@ -1,6 +1,6 @@
 package routesvc
 
-import "iadm/internal/core"
+import "iadm/internal/controller"
 
 // MergeMetrics accumulates src into dst, summing every counter and
 // recomputing the derived rates, so callers can fold the per-network
@@ -28,28 +28,16 @@ func MergeMetrics(dst *Metrics, src Metrics) {
 	dst.CacheEntriesLive += src.CacheEntriesLive
 	dst.CacheEntriesStale += src.CacheEntriesStale
 	dst.CacheBytes += src.CacheBytes
-	dst.DenseRoutes += src.DenseRoutes
 	dst.Sweeps += src.Sweeps
 	dst.SweptTotal += src.SweptTotal
-	dst.Prewarms += src.Prewarms
-	dst.PrewarmRoutes += src.PrewarmRoutes
 	dst.SSDT.Hits += src.SSDT.Hits
 	dst.SSDT.Misses += src.SSDT.Misses
 	dst.SSDT.Coalesced += src.SSDT.Coalesced
 	dst.TSDT.Hits += src.TSDT.Hits
 	dst.TSDT.Misses += src.TSDT.Misses
 	dst.TSDT.Coalesced += src.TSDT.Coalesced
-	dst.SlicedLanes += src.SlicedLanes
-	dst.SlicedBlocks += src.SlicedBlocks
 	mergeAdmission(&dst.Admission, src.Admission)
-	dst.Controller.Hits += src.Controller.Hits
-	dst.Controller.Misses += src.Controller.Misses
-	dst.Controller.Fails += src.Controller.Fails
-	if src.Controller.Epoch > dst.Controller.Epoch {
-		dst.Controller.Epoch = src.Controller.Epoch
-	}
-	dst.Controller.CacheEntries += src.Controller.CacheEntries
-	dst.Controller.BlockedLinks += src.Controller.BlockedLinks
+	mergeController(&dst.Controller, src.Controller)
 	dst.Draining = dst.Draining || src.Draining
 	if len(dst.BatchLatency) == 0 {
 		dst.BatchLatency = append(dst.BatchLatency, src.BatchLatency...)
@@ -82,18 +70,25 @@ func mergeAdmission(dst *AdmissionMetrics, src AdmissionMetrics) {
 	dst.Rounds += src.Rounds
 }
 
+// mergeController sums two controller snapshots; the epoch, a per-network
+// map version, merges as the maximum.
+func mergeController(dst *controller.Stats, src controller.Stats) {
+	dst.Hits += src.Hits
+	dst.Misses += src.Misses
+	dst.Fails += src.Fails
+	dst.Epoch = max(dst.Epoch, src.Epoch)
+	dst.CacheEntries += src.CacheEntries
+	dst.BlockedLinks += src.BlockedLinks
+}
+
 // finalizeMetrics recomputes every derived field from the summed
 // counters.
 func finalizeMetrics(m *Metrics) {
 	m.SSDTHitRate = m.SSDT.HitRate()
 	m.TSDTHitRate = m.TSDT.HitRate()
 	m.BitsPerRoute = 0
-	if routes := m.CacheEntries + m.DenseRoutes; routes > 0 {
-		m.BitsPerRoute = float64(m.CacheBytes*8) / float64(routes)
-	}
-	m.SlicedFill = 0
-	if m.SlicedBlocks > 0 {
-		m.SlicedFill = float64(m.SlicedLanes) / float64(m.SlicedBlocks*core.Lanes)
+	if m.CacheEntries > 0 {
+		m.BitsPerRoute = float64(m.CacheBytes*8) / float64(m.CacheEntries)
 	}
 	for i := range m.BatchLatency {
 		b := &m.BatchLatency[i]
@@ -111,18 +106,8 @@ func finalizeMetrics(m *Metrics) {
 // keep the per-target documents). iadmload -targets and the fleet
 // router both aggregate scrapes with this.
 func MergeMetricsJSON(dst *MetricsJSON, src MetricsJSON) {
-	dst.Service.Controller = controllerStats(dst.Controller)
-	srcService := src.Service
-	srcService.Controller = controllerStats(src.Controller)
-	MergeMetrics(&dst.Service, srcService)
-	dst.Controller = ControllerJSON{
-		Hits:         dst.Service.Controller.Hits,
-		Misses:       dst.Service.Controller.Misses,
-		Fails:        dst.Service.Controller.Fails,
-		Epoch:        dst.Service.Controller.Epoch,
-		CacheEntries: dst.Service.Controller.CacheEntries,
-		BlockedLinks: dst.Service.Controller.BlockedLinks,
-	}
+	MergeMetrics(&dst.Service, src.Service)
+	mergeController(&dst.Controller, src.Controller)
 	dst.HTTP5xx += src.HTTP5xx
 	dst.HTTP429 += src.HTTP429
 	if src.UptimeSec > dst.UptimeSec {

@@ -30,10 +30,9 @@ func TestMetricsSnapshotConsistency(t *testing.T) {
 		// Admission off: the test saturates the slow path on purpose and
 		// sheds would just thin the cache traffic it needs.
 		Admission: AdmissionConfig{Disabled: true},
-		// No automatic sweeps/prewarms; the test drives sweeps itself so
-		// the shrink-while-scraping interleaving is dense.
-		SweepEvery:   -1,
-		PrewarmStorm: -1,
+		// No automatic sweeps; the test drives sweeps itself so the
+		// shrink-while-scraping interleaving is dense.
+		SweepEvery: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -67,13 +66,13 @@ func TestMetricsSnapshotConsistency(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		l := topology.Link{Stage: 2, From: 0, Kind: topology.Plus}
+		links := []topology.Link{{Stage: 2, From: 0, Kind: topology.Plus}}
 		for !stop.Load() {
-			if _, err := s.ReportFault(l); err != nil {
+			if _, err := s.ApplyFaults(links, nil); err != nil {
 				t.Errorf("fault: %v", err)
 				return
 			}
-			if _, err := s.ReportRepair(l); err != nil {
+			if _, err := s.ApplyRepairs(links); err != nil {
 				t.Errorf("repair: %v", err)
 				return
 			}

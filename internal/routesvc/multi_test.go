@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"iadm/internal/controller"
 	"iadm/internal/topology"
 )
 
@@ -52,9 +53,7 @@ func TestMultiEpochIsolation(t *testing.T) {
 		}
 	}
 
-	if _, err := a.ReportFault(topology.Link{Stage: 2, From: 0, Kind: topology.Plus}); err != nil {
-		t.Fatal(err)
-	}
+	fault(t, a, topology.Link{Stage: 2, From: 0, Kind: topology.Plus})
 	if a.Epoch() == 0 {
 		t.Fatal("fault did not bump p0's epoch")
 	}
@@ -125,29 +124,24 @@ func TestMergeMetricsDerivedRates(t *testing.T) {
 	MergeMetrics(&dst, Metrics{
 		N: 64, Epoch: 3, Requests: 10,
 		CacheEntries: 4, CacheBytes: 64,
-		SSDT:        CacheStats{Hits: 3, Misses: 1},
-		SlicedLanes: 32, SlicedBlocks: 1,
+		TSDT:         CacheStats{Hits: 3, Misses: 1},
 		BatchLatency: []BatchBucket{{Batch: "1", Count: 2, SumNs: 2000}},
 	})
 	MergeMetrics(&dst, Metrics{
 		N: 64, Epoch: 7, Requests: 5,
-		CacheEntries: 4, CacheBytes: 64, DenseRoutes: 8,
-		SSDT:        CacheStats{Hits: 1, Misses: 3},
-		SlicedLanes: 32, SlicedBlocks: 1,
+		CacheEntries: 4, CacheBytes: 64,
+		TSDT:         CacheStats{Hits: 1, Misses: 3},
 		BatchLatency: []BatchBucket{{Batch: "1", Count: 2, SumNs: 6000}},
 	})
 	if dst.Requests != 15 || dst.Epoch != 7 || dst.N != 64 {
 		t.Fatalf("sums wrong: %+v", dst)
 	}
-	if dst.SSDTHitRate != 0.5 {
-		t.Fatalf("merged ssdt hit rate=%v, want 0.5", dst.SSDTHitRate)
+	if dst.TSDTHitRate != 0.5 {
+		t.Fatalf("merged tsdt hit rate=%v, want 0.5", dst.TSDTHitRate)
 	}
-	// 128 bytes over 8 cache entries + 8 dense routes = 64 bits/route.
-	if dst.BitsPerRoute != 64 {
-		t.Fatalf("merged bits/route=%v, want 64", dst.BitsPerRoute)
-	}
-	if dst.SlicedFill != 0.5 {
-		t.Fatalf("merged sliced fill=%v, want 0.5", dst.SlicedFill)
+	// 128 bytes over 8 cache entries = 128 bits/route.
+	if dst.BitsPerRoute != 128 {
+		t.Fatalf("merged bits/route=%v, want 128", dst.BitsPerRoute)
 	}
 	if got := dst.BatchLatency[0]; got.Count != 4 || got.AvgUS != 2 {
 		t.Fatalf("merged batch band=%+v, want count 4 avg 2us", got)
@@ -158,7 +152,7 @@ func TestMergeMetricsJSON(t *testing.T) {
 	mk := func(requests, h5xx uint64, net string) MetricsJSON {
 		return MetricsJSON{
 			Service:    Metrics{N: 64, Requests: requests},
-			Controller: ControllerJSON{Hits: 2, Misses: 1},
+			Controller: controller.Stats{Hits: 2, Misses: 1, Epoch: requests},
 			HTTP5xx:    h5xx,
 			Networks:   []NetMetrics{{Net: net, Requests: requests, Replicas: 1}},
 		}
@@ -170,7 +164,7 @@ func TestMergeMetricsJSON(t *testing.T) {
 	if dst.Service.Requests != 22 || dst.HTTP5xx != 3 {
 		t.Fatalf("merged scrape sums wrong: requests=%d 5xx=%d", dst.Service.Requests, dst.HTTP5xx)
 	}
-	if dst.Controller.Hits != 6 || dst.Controller.Misses != 3 {
+	if dst.Controller.Hits != 6 || dst.Controller.Misses != 3 || dst.Controller.Epoch != 10 {
 		t.Fatalf("merged controller wrong: %+v", dst.Controller)
 	}
 	if len(dst.Networks) != 2 {

@@ -5,15 +5,19 @@
 // The design follows the paper's cost split between the tag schemes:
 //
 //   - SSDT tags are state-independent — "the destination address is the
-//     tag" (Theorem 3.1) — so they are perfectly cacheable: one entry per
-//     destination, shared by every source, never invalidated by faults.
+//     tag" (Theorem 3.1) — so the service serves them by construction:
+//     core.NewTag(p, dst), with nothing stored, computed or admitted.
 //   - TSDT/REROUTE tags (Theorems 3.2–3.4) encode detours around the
 //     current blockage map, so every fault or repair report invalidates
 //     them. The service stamps each cached tag with the controller's map
 //     epoch; a mutation bumps the epoch and every stale entry dies lazily
 //     on its next lookup, with no global flush on the mutation path.
 //
-// Concurrency structure: a sharded RWMutex tag cache absorbs the read
+// A served answer is exactly (src, dst, scheme, tag, epoch, flags): by
+// Lemma 2.1 the tag and the source fix the route, so the service never
+// walks it.
+//
+// Concurrency structure: a sharded RWMutex tag cache absorbs the TSDT read
 // traffic, a singleflight group collapses thundering herds so each missing
 // tag is computed once per epoch, and a drain gate lets the daemon finish
 // in-flight requests on shutdown while refusing new ones.
@@ -101,16 +105,9 @@ type Config struct {
 	// iadmload -overload contract) a deterministic way to saturate the
 	// slow path. Leave zero in production.
 	SlowCost time.Duration
-	// Prewarm builds the dense per-destination SSDT table (n bits/route,
-	// one entry per destination, filled through the 64-lane sliced
-	// kernels) synchronously at startup, so the very first SSDT request
-	// is a cache hit.
+	// Prewarm is accepted and ignored: every SSDT request is served by
+	// construction (Theorem 3.1), so there is no SSDT table to fill.
 	Prewarm bool
-	// PrewarmStorm is the fault-storm threshold: after this many epoch
-	// bumps accumulate since the last prewarm, the service rebuilds the
-	// dense SSDT table asynchronously (the controller-driven prewarm
-	// path). 0 means 64; negative disables storm-triggered prewarms.
-	PrewarmStorm int
 	// SweepEvery is the auto-sweep cadence: every SweepEvery-th epoch
 	// bump schedules an asynchronous tagCache.sweep, reclaiming stale
 	// TSDT entries without an operator call. 0 means 256; negative
@@ -125,11 +122,8 @@ type Config struct {
 // 2^16 bumps guarantees a stale stamp can never alias a live epoch.
 const aliasSweepInterval = 1 << 16
 
-// defaultSweepEvery and defaultPrewarmStorm back Config's zero values.
-const (
-	defaultSweepEvery   = 256
-	defaultPrewarmStorm = 64
-)
+// defaultSweepEvery backs Config.SweepEvery's zero value.
+const defaultSweepEvery = 256
 
 // Request names one tag request of a batch.
 type Request struct {
@@ -142,30 +136,29 @@ type Request struct {
 type Result struct {
 	Src, Dst int
 	Scheme   Scheme
-	// Tag is the routing tag to stamp on the message.
+	// Tag is the routing tag to stamp on the message; it and Src fix the
+	// route (Tag.Follow).
 	Tag core.Tag
-	// Path is the route the tag selects from Src under all-C states
-	// (exact for TSDT; for SSDT the nominal path, since en-route
-	// self-repair may divert it around nonstraight faults), packed so
-	// attaching it allocates nothing.
-	Path core.PackedPath
 	// Epoch is the blockage-map version the tag is valid against: for
 	// TSDT the epoch the tag was computed and validated under (a cache
 	// hit reports the entry's stamp, not a possibly newer current epoch);
 	// for SSDT the epoch observed at request time, since Theorem 3.1
 	// makes the tag valid under every map.
 	Epoch uint64
-	// Cached reports a tag-cache hit; Coalesced reports the request
-	// joined another caller's in-flight computation.
+	// Cached reports the tag was served without a tag computation: a
+	// TSDT cache hit, or any SSDT request (the tag is the destination).
+	// Coalesced reports the request joined another caller's in-flight
+	// computation.
 	Cached    bool
 	Coalesced bool
 	// Err is the per-item error of a batch request (nil on success).
 	Err error
 }
 
-// CacheStats counts one scheme's cache traffic. Coalesced requests are
-// counted as hits (they were served without a tag computation) and
-// reported separately.
+// CacheStats counts one scheme's cache traffic. A hit is a request served
+// without a tag computation, so every SSDT request is a hit and SSDT
+// Misses stay 0. Coalesced requests are counted as hits and reported
+// separately.
 type CacheStats struct {
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
@@ -191,9 +184,8 @@ type BatchBucket struct {
 	AvgUS float64 `json:"avg_us"`
 }
 
-// numBatchBands and the band geometry: powers-of-4-ish splits around the
-// 64-lane block size, so the bands separate "singleton", "sub-block",
-// "one block" and "multi-block" traffic.
+// numBatchBands and the band geometry: powers-of-4-ish splits, so the
+// bands separate singleton, small, medium and large batches.
 const numBatchBands = 6
 
 var batchBandLabels = [numBatchBands]string{"1", "2-4", "5-16", "17-64", "65-256", "257+"}
@@ -231,31 +223,22 @@ type Metrics struct {
 	// fault churn. CacheEntries = live + stale always.
 	CacheEntriesLive  int `json:"entries_live"`
 	CacheEntriesStale int `json:"entries_stale"`
-	// CacheBytes is the total tag-store footprint (flat cache slabs plus
-	// the dense SSDT table); BitsPerRoute is that footprint over every
-	// stored route (cache entries + dense table routes).
+	// CacheBytes is the TSDT cache's slab footprint; BitsPerRoute is that
+	// footprint over the stored entries (SSDT needs no store).
 	CacheBytes   uint64  `json:"cache_bytes"`
 	BitsPerRoute float64 `json:"bits_per_route"`
-	// DenseRoutes is the number of destinations in the dense SSDT table
-	// (0 until a prewarm has run).
-	DenseRoutes int `json:"dense_routes"`
-	// Sweep / prewarm counters: SweptTotal counts entries reclaimed by
-	// all sweeps (automatic and operator-invoked), PrewarmRoutes counts
-	// routes bulk-filled by prewarms.
-	Sweeps        uint64     `json:"sweeps_total"`
-	SweptTotal    uint64     `json:"swept_total"`
-	Prewarms      uint64     `json:"prewarms_total"`
-	PrewarmRoutes uint64     `json:"prewarm_routes_total"`
-	SSDT          CacheStats `json:"ssdt"`
-	TSDT          CacheStats `json:"tsdt"`
-	SSDTHitRate   float64    `json:"ssdt_hit_rate"`
-	TSDTHitRate   float64    `json:"tsdt_hit_rate"`
-	// SlicedLanes counts requests whose path was produced by the bit-sliced
-	// kernel; SlicedBlocks counts the 64-lane blocks that produced them, so
-	// SlicedFill = SlicedLanes / (64 * SlicedBlocks) is the lane utilization.
-	SlicedLanes  uint64           `json:"sliced_lanes_utilized"`
-	SlicedBlocks uint64           `json:"sliced_blocks_total"`
-	SlicedFill   float64          `json:"sliced_lane_fill"`
+	// SweptTotal counts entries reclaimed by all sweeps (automatic and
+	// operator-invoked).
+	Sweeps      uint64     `json:"sweeps_total"`
+	SweptTotal  uint64     `json:"swept_total"`
+	SSDT        CacheStats `json:"ssdt"`
+	TSDT        CacheStats `json:"tsdt"`
+	SSDTHitRate float64    `json:"ssdt_hit_rate"`
+	TSDTHitRate float64    `json:"tsdt_hit_rate"`
+	// SlicedLanes and SlicedBlocks always read 0: the service walks no
+	// paths. They remain, off the wire, for the benchmark that reads them.
+	SlicedLanes  uint64           `json:"-"`
+	SlicedBlocks uint64           `json:"-"`
 	Admission    AdmissionMetrics `json:"admission"`
 	BatchLatency []BatchBucket    `json:"batch_latency"`
 	Controller   controller.Stats `json:"-"`
@@ -274,16 +257,8 @@ type Service struct {
 	ownAdm   bool
 	slowCost time.Duration
 
-	// dense is the per-destination SSDT table (Theorem 3.1: one n-bit
-	// entry per destination serves every source under every blockage
-	// map). Prewarm builds a complete table and swaps it in whole, so
-	// readers see either nothing or all N routes.
-	dense        atomic.Pointer[core.SSDTTable]
-	prewarmStorm int
-	sweepEvery   int
-	stormBumps   atomic.Uint64
-	sweepBusy    atomic.Bool
-	prewarmBusy  atomic.Bool
+	sweepEvery int
+	sweepBusy  atomic.Bool
 
 	drainMu  sync.RWMutex
 	draining bool
@@ -298,26 +273,18 @@ type Service struct {
 	hits          [numSchemes]atomic.Uint64
 	misses        [numSchemes]atomic.Uint64
 	coalesced     [numSchemes]atomic.Uint64
-	slicedLanes   atomic.Uint64
-	slicedBlocks  atomic.Uint64
 	sweeps        atomic.Uint64
 	sweptTotal    atomic.Uint64
-	prewarms      atomic.Uint64
-	prewarmRoutes atomic.Uint64
 	batchLat      [numBatchBands]struct{ count, sumNs atomic.Uint64 }
 
 	// testComputeHook, when set (by tests in this package), runs at the
-	// start of every tag computation (after the admission ticket is
+	// start of every TSDT tag computation (after the admission ticket is
 	// taken); it lets tests hold a flight open to observe coalescing and
 	// queue occupancy deterministically. testEpochHook runs right after a
 	// TSDT request loads its epoch stamp, so tests can race a map
 	// mutation into the window between stamp and response.
-	// testPrewarmHook runs once per 64-lane block during a dense-table
-	// build, so tests can freeze a prewarm mid-build and interleave it
-	// with Drain.
-	testComputeHook func(Scheme)
+	testComputeHook func()
 	testEpochHook   func()
-	testPrewarmHook func(filled int)
 }
 
 // New builds a Service for a fault-free network of size cfg.N.
@@ -335,17 +302,13 @@ func newService(cfg Config, adm *admission, ownAdm bool) (*Service, error) {
 		return nil, err
 	}
 	s := &Service{
-		ctl:          ctl,
-		p:            ctl.Params(),
-		cache:        newTagCache(cfg.Shards, ctl.Params()),
-		adm:          adm,
-		ownAdm:       ownAdm,
-		slowCost:     cfg.SlowCost,
-		prewarmStorm: cfg.PrewarmStorm,
-		sweepEvery:   cfg.SweepEvery,
-	}
-	if s.prewarmStorm == 0 {
-		s.prewarmStorm = defaultPrewarmStorm
+		ctl:        ctl,
+		p:          ctl.Params(),
+		cache:      newTagCache(cfg.Shards, ctl.Params()),
+		adm:        adm,
+		ownAdm:     ownAdm,
+		slowCost:   cfg.SlowCost,
+		sweepEvery: cfg.SweepEvery,
 	}
 	if s.sweepEvery == 0 {
 		s.sweepEvery = defaultSweepEvery
@@ -357,72 +320,8 @@ func newService(cfg Config, adm *admission, ownAdm bool) (*Service, error) {
 		if (s.sweepEvery > 0 && epoch%uint64(s.sweepEvery) == 0) || epoch%aliasSweepInterval == 0 {
 			s.scheduleSweep()
 		}
-		if s.prewarmStorm > 0 && s.stormBumps.Add(1) >= uint64(s.prewarmStorm) {
-			s.stormBumps.Store(0)
-			s.schedulePrewarm()
-		}
 	})
-	if cfg.Prewarm {
-		if _, err := s.buildDense(); err != nil {
-			return nil, err
-		}
-	}
 	return s, nil
-}
-
-// buildDense bulk-fills a fresh dense SSDT table through the 64-lane
-// sliced kernels: each block of destinations is loaded as Theorem 3.1
-// tags, walked by RouteTSDTSliced, and self-checked (every lane's path
-// must land on its own destination) before the table is swapped in. It
-// returns the number of routes filled.
-func (s *Service) buildDense() (int, error) {
-	tbl := core.NewSSDTTable(s.p)
-	N := s.p.Size()
-	var lb core.LaneBlock
-	var srcs [core.Lanes]int
-	var tags [core.Lanes]core.Tag
-	var paths [core.Lanes]core.PackedPath
-	for base := 0; base < N; base += core.Lanes {
-		if s.testPrewarmHook != nil {
-			s.testPrewarmHook(base)
-		}
-		k := min(core.Lanes, N-base)
-		for i := 0; i < k; i++ {
-			d := base + i
-			srcs[i] = d
-			tags[i] = core.MustTag(s.p, d)
-		}
-		if err := lb.LoadTags(s.p, srcs[:k], tags[:k]); err != nil {
-			return 0, fmt.Errorf("routesvc: prewarm load at destination %d: %w", base, err)
-		}
-		core.RouteTSDTSliced(s.p, &lb)
-		pp := lb.PathsInto(paths[:0])
-		for i := 0; i < k; i++ {
-			d := base + i
-			if got := pp[i].Destination(s.p); got != d {
-				return 0, fmt.Errorf("routesvc: prewarm self-check: tag for %d walked to %d", d, got)
-			}
-			if err := tbl.Store(d, tags[i]); err != nil {
-				return 0, fmt.Errorf("routesvc: prewarm store: %w", err)
-			}
-		}
-		s.slicedLanes.Add(uint64(k))
-		s.slicedBlocks.Add(1)
-	}
-	s.dense.Store(tbl)
-	s.prewarms.Add(1)
-	s.prewarmRoutes.Add(uint64(N))
-	return N, nil
-}
-
-// Prewarm (re)builds the dense SSDT table synchronously; see Config.
-// Prewarm for the startup variant and PrewarmStorm for the automatic one.
-func (s *Service) Prewarm() (int, error) {
-	if err := s.begin(); err != nil {
-		return 0, err
-	}
-	defer s.end()
-	return s.buildDense()
 }
 
 // scheduleSweep runs one asynchronous cache sweep, dropping the request
@@ -439,23 +338,6 @@ func (s *Service) scheduleSweep() {
 		}
 		defer s.end()
 		s.Sweep()
-	}()
-}
-
-// schedulePrewarm is scheduleSweep for the dense-table rebuild.
-func (s *Service) schedulePrewarm() {
-	if !s.prewarmBusy.CompareAndSwap(false, true) {
-		return
-	}
-	go func() {
-		defer s.prewarmBusy.Store(false)
-		if s.begin() != nil {
-			return
-		}
-		defer s.end()
-		// The self-check cannot fail against a live controller topology;
-		// if it somehow does, the old table stays in place.
-		_, _ = s.buildDense()
 	}()
 }
 
@@ -516,7 +398,7 @@ func (s *Service) Route(src, dst int, scheme Scheme) (Result, error) {
 	}
 	defer s.end()
 	t0 := time.Now()
-	res, err := s.route(src, dst, scheme)
+	res, err := s.resolve(src, dst, scheme)
 	s.observeBatch(1, time.Since(t0))
 	return res, err
 }
@@ -524,10 +406,6 @@ func (s *Service) Route(src, dst int, scheme Scheme) (Result, error) {
 // RouteBatch serves a batch in one admission: per-item failures land in
 // Result.Err and never fail the batch. The only batch-level error is
 // ErrDraining.
-//
-// Tags resolve per item through the cache/coalescing machinery, but the
-// path attachments — the per-request tag walk that dominates a hot-cache
-// batch — run through the bit-sliced kernel, 64 requests per block.
 func (s *Service) RouteBatch(reqs []Request) ([]Result, error) {
 	if err := s.begin(); err != nil {
 		return nil, err
@@ -547,74 +425,12 @@ func (s *Service) RouteBatch(reqs []Request) ([]Result, error) {
 		}
 		out[i] = res
 	}
-	s.fillPathsSliced(out)
 	s.observeBatch(len(reqs), time.Since(t0))
 	return out, nil
 }
 
-// fillPathsSliced attaches the path to every successfully resolved result,
-// in 64-lane blocks through RouteTSDTSliced. Both schemes hand out
-// core.Tags and Result.Path is defined as the tag's all-C walk, which is
-// exactly what the TSDT kernel computes (SSDT tags carry zero state bits),
-// so one sliced pass replaces len(out) scalar Follow walks.
-func (s *Service) fillPathsSliced(out []Result) {
-	var lb core.LaneBlock
-	var idx [core.Lanes]int
-	var srcs [core.Lanes]int
-	var tags [core.Lanes]core.Tag
-	var paths [core.Lanes]core.PackedPath
-	k := 0
-	flush := func() {
-		if k == 0 {
-			return
-		}
-		if err := lb.LoadTags(s.p, srcs[:k], tags[:k]); err != nil {
-			// Resolved results are pre-validated so this is unreachable, but
-			// never drop paths silently — walk the lanes scalar instead.
-			for i := 0; i < k; i++ {
-				r := &out[idx[i]]
-				r.Path = core.RouteTSDTPacked(s.p, r.Src, r.Tag)
-			}
-			k = 0
-			return
-		}
-		core.RouteTSDTSliced(s.p, &lb)
-		pp := lb.PathsInto(paths[:0])
-		for i := 0; i < k; i++ {
-			out[idx[i]].Path = pp[i]
-		}
-		s.slicedLanes.Add(uint64(k))
-		s.slicedBlocks.Add(1)
-		k = 0
-	}
-	for i := range out {
-		if out[i].Err != nil {
-			continue
-		}
-		idx[k], srcs[k], tags[k] = i, out[i].Src, out[i].Tag
-		k++
-		if k == core.Lanes {
-			flush()
-		}
-	}
-	flush()
-}
-
-// route is the singleton path: resolve the tag, then walk it with the
-// scalar packed kernel (one lane would waste the sliced kernel's
-// transposes).
-func (s *Service) route(src, dst int, scheme Scheme) (Result, error) {
-	res, err := s.resolve(src, dst, scheme)
-	if err != nil {
-		return res, err
-	}
-	res.Path = core.RouteTSDTPacked(s.p, src, res.Tag)
-	return res, nil
-}
-
-// resolve serves one tag request through the cache, coalescing and compute
-// machinery, leaving Result.Path unset — the caller decides how to attach
-// the path (scalar for singletons, sliced blocks for batches).
+// resolve serves one tag request: SSDT by construction, TSDT through the
+// cache, coalescing and compute machinery.
 func (s *Service) resolve(src, dst int, scheme Scheme) (Result, error) {
 	s.requests.Add(1)
 	if scheme >= numSchemes {
@@ -626,42 +442,32 @@ func (s *Service) resolve(src, dst int, scheme Scheme) (Result, error) {
 		return Result{}, fmt.Errorf("%w: pair (%d, %d) outside 0..%d", ErrInvalid, src, dst, s.p.Size()-1)
 	}
 
-	key := cacheKey{src: int32(src), dst: int32(dst), scheme: scheme}
-	stamp := ssdtEpoch
 	if scheme == SchemeSSDT {
-		// Theorem 3.1: the tag depends only on the destination, so every
-		// source shares one epoch-exempt entry.
-		key.src = 0
-	} else {
-		// Load the epoch BEFORE computing: if a fault lands mid-compute,
-		// the entry is stamped with the old epoch and dies unread — the
-		// stale-pointing direction is impossible by construction.
-		stamp = s.ctl.Epoch()
-		if s.testEpochHook != nil {
-			s.testEpochHook()
+		// Theorem 3.1: the destination address is the tag, valid from
+		// every source under every blockage map. It is served without a
+		// computation, so it counts as a hit; its epoch is the one
+		// observed now.
+		tag, err := core.NewTag(s.p, dst)
+		if err != nil {
+			s.invalid.Add(1)
+			return Result{}, fmt.Errorf("%w: %v", ErrInvalid, err)
 		}
+		s.hits[SchemeSSDT].Add(1)
+		s.adm.noteHit()
+		return Result{Src: src, Dst: dst, Scheme: scheme, Tag: tag, Epoch: s.ctl.Epoch(), Cached: true}, nil
 	}
 
-	// The reported epoch is the one the tag is valid against: the stamp
-	// for TSDT (never a newer epoch a concurrent mutation may have
-	// produced), the current epoch for epoch-exempt SSDT.
-	epoch := stamp
-	if scheme == SchemeSSDT {
-		epoch = s.ctl.Epoch()
+	// Load the epoch BEFORE computing: if a fault lands mid-compute, the
+	// entry is stamped with the old epoch and dies unread — the
+	// stale-pointing direction is impossible by construction. The stamp is
+	// also the reported epoch: the one the tag was validated against,
+	// never a newer epoch a concurrent mutation may have produced.
+	key := cacheKey{src: int32(src), dst: int32(dst)}
+	stamp := s.ctl.Epoch()
+	if s.testEpochHook != nil {
+		s.testEpochHook()
 	}
-	res := Result{Src: src, Dst: dst, Scheme: scheme, Epoch: epoch}
-	if scheme == SchemeSSDT {
-		// Dense-table fast path: after a prewarm every destination hits
-		// here — no hash, no shard lock, one bit-slab read.
-		if tbl := s.dense.Load(); tbl != nil {
-			if tag, ok := tbl.Lookup(dst); ok {
-				s.hits[scheme].Add(1)
-				s.adm.noteHit()
-				res.Tag, res.Cached = tag, true
-				return res, nil
-			}
-		}
-	}
+	res := Result{Src: src, Dst: dst, Scheme: scheme, Epoch: stamp}
 	if tag, ok := s.cache.get(key, stamp); ok {
 		s.hits[scheme].Add(1)
 		s.adm.noteHit()
@@ -670,23 +476,19 @@ func (s *Service) resolve(src, dst int, scheme Scheme) (Result, error) {
 	}
 
 	tag, err, shared := s.fl.do(flightKey{key: key, epoch: stamp}, func() (core.Tag, error) {
-		// The admission gate guards the slow path only: fresh
-		// TSDT/REROUTE computations against the current blockage map.
-		// SSDT computes are state-independent one-shot renders (fast
-		// path by construction), and cache hits never reach here.
-		if scheme == SchemeTSDT {
-			if !s.adm.acquire() {
-				return core.Tag{}, ErrOverload
-			}
-			defer s.adm.release()
+		// The admission gate guards the slow path: fresh TSDT/REROUTE
+		// computations against the current blockage map.
+		if !s.adm.acquire() {
+			return core.Tag{}, ErrOverload
 		}
+		defer s.adm.release()
 		if s.testComputeHook != nil {
-			s.testComputeHook(scheme)
+			s.testComputeHook()
 		}
-		if s.slowCost > 0 && scheme == SchemeTSDT {
+		if s.slowCost > 0 {
 			time.Sleep(s.slowCost)
 		}
-		tag, err := s.compute(src, dst, scheme)
+		tag, err := s.ctl.RouteTag(src, dst)
 		if err == nil {
 			s.cache.put(key, tag, stamp)
 		}
@@ -717,64 +519,12 @@ func (s *Service) resolve(src, dst int, scheme Scheme) (Result, error) {
 	return res, nil
 }
 
-func (s *Service) compute(src, dst int, scheme Scheme) (core.Tag, error) {
-	if scheme == SchemeSSDT {
-		return core.NewTag(s.p, dst)
-	}
-	return s.ctl.RouteTag(src, dst)
-}
-
 func (s *Service) validLink(l topology.Link) error {
 	if !s.p.ValidStage(l.Stage) || !s.p.ValidSwitch(l.From) ||
 		(l.Kind != topology.Minus && l.Kind != topology.Straight && l.Kind != topology.Plus) {
 		return fmt.Errorf("%w: link %v", ErrInvalid, l)
 	}
 	return nil
-}
-
-// ReportFault ingests one link-fault report. It returns whether the
-// blockage map changed (duplicate reports are no-ops).
-func (s *Service) ReportFault(l topology.Link) (bool, error) {
-	if err := s.begin(); err != nil {
-		return false, err
-	}
-	defer s.end()
-	if err := s.validLink(l); err != nil {
-		return false, err
-	}
-	s.faults.Add(1)
-	return s.ctl.ReportFault(l), nil
-}
-
-// ReportRepair ingests one link-repair report.
-func (s *Service) ReportRepair(l topology.Link) (bool, error) {
-	if err := s.begin(); err != nil {
-		return false, err
-	}
-	defer s.end()
-	if err := s.validLink(l); err != nil {
-		return false, err
-	}
-	s.repairs.Add(1)
-	return s.ctl.ReportRepair(l), nil
-}
-
-// ReportSwitchFault ingests a switch-fault report via the paper's
-// input-link transformation. It returns how many of the switch's input
-// links it actually blocked (inputs already blocked by earlier reports are
-// no-ops), so callers can report the exact map change without inferring it
-// from racy before/after snapshots.
-func (s *Service) ReportSwitchFault(sw topology.Switch) (int, error) {
-	if err := s.begin(); err != nil {
-		return 0, err
-	}
-	defer s.end()
-	s.faults.Add(1)
-	blocked, err := s.ctl.ReportSwitchFault(sw)
-	if err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrInvalid, err)
-	}
-	return blocked, nil
 }
 
 // ApplyFaults ingests a batch of fault reports atomically with respect to
@@ -865,11 +615,6 @@ func (s *Service) Sweep() int {
 // and report an impossible bits-per-route figure.
 func (s *Service) Metrics() Metrics {
 	live, stale, cacheBytes := s.cache.snapshot(s.ctl.Epoch())
-	denseRoutes := 0
-	if tbl := s.dense.Load(); tbl != nil {
-		denseRoutes = tbl.Len()
-		cacheBytes += tbl.MemoryBytes()
-	}
 	m := Metrics{
 		N:                 s.p.Size(),
 		Epoch:             s.ctl.Epoch(),
@@ -883,11 +628,8 @@ func (s *Service) Metrics() Metrics {
 		CacheEntriesLive:  live,
 		CacheEntriesStale: stale,
 		CacheBytes:        cacheBytes,
-		DenseRoutes:       denseRoutes,
 		Sweeps:            s.sweeps.Load(),
 		SweptTotal:        s.sweptTotal.Load(),
-		Prewarms:          s.prewarms.Load(),
-		PrewarmRoutes:     s.prewarmRoutes.Load(),
 		SSDT: CacheStats{
 			Hits:      s.hits[SchemeSSDT].Load(),
 			Misses:    s.misses[SchemeSSDT].Load(),
@@ -898,28 +640,14 @@ func (s *Service) Metrics() Metrics {
 			Misses:    s.misses[SchemeTSDT].Load(),
 			Coalesced: s.coalesced[SchemeTSDT].Load(),
 		},
-		SlicedLanes:  s.slicedLanes.Load(),
-		SlicedBlocks: s.slicedBlocks.Load(),
 		Admission:    s.adm.metrics(),
+		BatchLatency: make([]BatchBucket, numBatchBands),
 		Controller:   s.ctl.Stats(),
 		Draining:     s.Draining(),
 	}
-	m.SSDTHitRate = m.SSDT.HitRate()
-	m.TSDTHitRate = m.TSDT.HitRate()
-	if routes := m.CacheEntries + m.DenseRoutes; routes > 0 {
-		m.BitsPerRoute = float64(m.CacheBytes*8) / float64(routes)
-	}
-	if m.SlicedBlocks > 0 {
-		m.SlicedFill = float64(m.SlicedLanes) / float64(m.SlicedBlocks*core.Lanes)
-	}
-	m.BatchLatency = make([]BatchBucket, 0, numBatchBands)
 	for i := range s.batchLat {
-		c, sum := s.batchLat[i].count.Load(), s.batchLat[i].sumNs.Load()
-		bb := BatchBucket{Batch: batchBandLabels[i], Count: c, SumNs: sum}
-		if c > 0 {
-			bb.AvgUS = float64(sum) / float64(c) / 1e3
-		}
-		m.BatchLatency = append(m.BatchLatency, bb)
+		m.BatchLatency[i] = BatchBucket{Batch: batchBandLabels[i], Count: s.batchLat[i].count.Load(), SumNs: s.batchLat[i].sumNs.Load()}
 	}
+	finalizeMetrics(&m)
 	return m
 }

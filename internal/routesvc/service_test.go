@@ -20,6 +20,26 @@ func mustService(t testing.TB, cfg Config) *Service {
 	return s
 }
 
+// fault and repair report one link through the batch mutation API and
+// return how many links changed.
+func fault(t testing.TB, s *Service, l topology.Link) int {
+	t.Helper()
+	changed, err := s.ApplyFaults([]topology.Link{l}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return changed
+}
+
+func repair(t testing.TB, s *Service, l topology.Link) int {
+	t.Helper()
+	changed, err := s.ApplyRepairs([]topology.Link{l})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return changed
+}
+
 func TestRouteBothSchemes(t *testing.T) {
 	s := mustService(t, Config{N: 8})
 	for _, scheme := range []Scheme{SchemeTSDT, SchemeSSDT} {
@@ -30,11 +50,12 @@ func TestRouteBothSchemes(t *testing.T) {
 		if res.Tag.Destination() != 6 {
 			t.Errorf("%v tag destination = %d", scheme, res.Tag.Destination())
 		}
-		if res.Path.Destination(s.Params()) != 6 || res.Path.Source() != 1 {
-			t.Errorf("%v path %v", scheme, res.Path)
+		if path := res.Tag.Follow(s.Params(), res.Src); res.Src != 1 || path.Destination() != 6 {
+			t.Errorf("%v tag %v from %d walks %v", scheme, res.Tag, res.Src, path)
 		}
-		if res.Cached {
-			t.Errorf("%v first request reported cached", scheme)
+		// Only a TSDT tag is computed; an SSDT tag is the destination.
+		if res.Cached != (scheme == SchemeSSDT) {
+			t.Errorf("%v first request cached = %v", scheme, res.Cached)
 		}
 		res2, err := s.Route(1, 6, scheme)
 		if err != nil {
@@ -82,11 +103,12 @@ func TestNoStaleTagAcrossFault(t *testing.T) {
 				}
 				t.Fatalf("Route(%d, %d): %v", src, dst, err)
 			}
-			for _, l := range res.Path.LinksInto(s.Params(), nil) {
+			path := res.Tag.Follow(p, src)
+			for _, l := range path.Links {
 				for _, b := range blocked {
 					if l == b {
 						t.Fatalf("stale tag: path %v uses link %v blocked before the request (epoch %d)",
-							res.Path, b, res.Epoch)
+							path, b, res.Epoch)
 					}
 				}
 			}
@@ -97,9 +119,7 @@ func TestNoStaleTagAcrossFault(t *testing.T) {
 	for round := 0; round < 40; round++ {
 		if len(blocked) > 0 && rng.Intn(3) == 0 {
 			i := rng.Intn(len(blocked))
-			if _, err := s.ReportRepair(blocked[i]); err != nil {
-				t.Fatal(err)
-			}
+			repair(t, s, blocked[i])
 			blocked = append(blocked[:i], blocked[i+1:]...)
 		} else {
 			l := topology.Link{
@@ -107,9 +127,7 @@ func TestNoStaleTagAcrossFault(t *testing.T) {
 				From:  rng.Intn(p.Size()),
 				Kind:  topology.LinkKind(rng.Intn(3)),
 			}
-			if _, err := s.ReportFault(l); err != nil {
-				t.Fatal(err)
-			}
+			fault(t, s, l)
 			already := false
 			for _, b := range blocked {
 				if b == l {
@@ -124,48 +142,44 @@ func TestNoStaleTagAcrossFault(t *testing.T) {
 	}
 }
 
-// TestSSDTEpochExempt checks Theorem 3.1's serving consequence: SSDT
-// entries survive every fault/repair, and one destination's entry is
-// shared by all sources.
+// TestSSDTEpochExempt checks Theorem 3.1's serving consequence: an SSDT
+// tag is the destination for every source and survives every
+// fault/repair, while it reports the epoch current at request time.
 func TestSSDTEpochExempt(t *testing.T) {
 	s := mustService(t, Config{N: 8})
 	r1, err := s.Route(1, 5, SchemeSSDT)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Same destination from a different source: shared entry, own path.
+	// Same destination from a different source: same tag, own route.
 	r2, err := s.Route(2, 5, SchemeSSDT)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !r2.Cached {
-		t.Error("SSDT entry not shared across sources")
+		t.Error("SSDT request reported a tag computation")
 	}
 	if r2.Tag != r1.Tag {
 		t.Errorf("SSDT tags differ across sources: %v vs %v", r1.Tag, r2.Tag)
 	}
-	if r2.Path.Source() != 2 || r2.Path.Destination(s.Params()) != 5 {
-		t.Errorf("SSDT path for source 2: %v", r2.Path)
+	if d := r2.Tag.Follow(s.Params(), 2).Destination(); d != 5 {
+		t.Errorf("SSDT tag %v from source 2 reaches %d", r2.Tag, d)
 	}
 
-	if _, err := s.ReportFault(topology.Link{Stage: 0, From: 1, Kind: topology.Plus}); err != nil {
-		t.Fatal(err)
-	}
+	fault(t, s, topology.Link{Stage: 0, From: 1, Kind: topology.Plus})
 	r3, err := s.Route(1, 5, SchemeSSDT)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r3.Cached {
-		t.Error("SSDT entry was invalidated by a fault (it must be epoch-exempt)")
+	if !r3.Cached || r3.Tag != r1.Tag || r3.Epoch != 1 {
+		t.Errorf("SSDT after a fault = %+v, want the same tag, cached, at epoch 1", r3)
 	}
 
 	// The TSDT entry for the same pair is NOT exempt.
 	if _, err := s.Route(1, 5, SchemeTSDT); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ReportFault(topology.Link{Stage: 1, From: 3, Kind: topology.Minus}); err != nil {
-		t.Fatal(err)
-	}
+	fault(t, s, topology.Link{Stage: 1, From: 3, Kind: topology.Minus})
 	r5, err := s.Route(1, 5, SchemeTSDT)
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +200,7 @@ func TestCoalescing(t *testing.T) {
 	const G = 8
 	gate := make(chan struct{})
 	entered := make(chan struct{}, G+1)
-	s.testComputeHook = func(Scheme) {
+	s.testComputeHook = func() {
 		entered <- struct{}{}
 		<-gate
 	}
@@ -244,7 +258,7 @@ func TestDrain(t *testing.T) {
 	gate := make(chan struct{})
 	entered := make(chan struct{})
 	var once sync.Once
-	s.testComputeHook = func(Scheme) {
+	s.testComputeHook = func() {
 		once.Do(func() {
 			close(entered)
 			<-gate
@@ -278,7 +292,7 @@ func TestDrain(t *testing.T) {
 	if _, err := s.RouteBatch([]Request{{Src: 0, Dst: 1}}); !errors.Is(err, ErrDraining) {
 		t.Fatalf("batch during drain: err = %v, want ErrDraining", err)
 	}
-	if _, err := s.ReportFault(topology.Link{Stage: 0, From: 0, Kind: topology.Plus}); !errors.Is(err, ErrDraining) {
+	if _, err := s.ApplyFaults([]topology.Link{{Stage: 0, From: 0, Kind: topology.Plus}}, nil); !errors.Is(err, ErrDraining) {
 		t.Fatalf("fault during drain: err = %v, want ErrDraining", err)
 	}
 	select {
@@ -307,9 +321,7 @@ func TestRouteBatch(t *testing.T) {
 	s := mustService(t, Config{N: 8})
 	// Disconnect pair (5,5): a straight-link fault on an all-straight path
 	// cannot be bypassed (Theorems 3.3/3.4).
-	if _, err := s.ReportFault(topology.Link{Stage: 1, From: 5, Kind: topology.Straight}); err != nil {
-		t.Fatal(err)
-	}
+	fault(t, s, topology.Link{Stage: 1, From: 5, Kind: topology.Straight})
 	results, err := s.RouteBatch([]Request{
 		{Src: 1, Dst: 6, Scheme: SchemeTSDT},
 		{Src: 1, Dst: 6, Scheme: SchemeTSDT},  // same key: cache hit
@@ -337,6 +349,47 @@ func TestRouteBatch(t *testing.T) {
 	}
 }
 
+// TestBatchLatencyBands pins the latency histogram: every RouteBatch call
+// lands in the band of its size and every Route call in band "1".
+func TestBatchLatencyBands(t *testing.T) {
+	s := mustService(t, Config{N: 64})
+	rng := rand.New(rand.NewSource(11))
+	for _, size := range []int{1, 3, 64, 65, 300} {
+		reqs := make([]Request, size)
+		for i := range reqs {
+			reqs[i] = Request{Src: rng.Intn(64), Dst: rng.Intn(64), Scheme: Scheme(i % 2)}
+		}
+		results, err := s.RouteBatch(reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, res := range results {
+			if res.Err != nil {
+				t.Fatalf("size %d item %d: %v", size, i, res.Err)
+			}
+			if d := res.Tag.Follow(s.Params(), res.Src).Destination(); d != res.Dst {
+				t.Fatalf("size %d item %d: tag %v from %d reaches %d", size, i, res.Tag, res.Src, d)
+			}
+		}
+	}
+	if _, err := s.Route(1, 2, SchemeTSDT); err != nil {
+		t.Fatal(err)
+	}
+	m := s.Metrics()
+	if len(m.BatchLatency) != numBatchBands {
+		t.Fatalf("BatchLatency has %d bands, want %d", len(m.BatchLatency), numBatchBands)
+	}
+	wantCounts := map[string]uint64{"1": 2, "2-4": 1, "5-16": 0, "17-64": 1, "65-256": 1, "257+": 1}
+	for _, b := range m.BatchLatency {
+		if b.Count != wantCounts[b.Batch] {
+			t.Errorf("band %q count = %d, want %d", b.Batch, b.Count, wantCounts[b.Batch])
+		}
+		if b.Count > 0 && (b.SumNs == 0 || b.AvgUS != float64(b.SumNs)/float64(b.Count)/1e3) {
+			t.Errorf("band %q: %d samples, sum %d ns, avg %v µs", b.Batch, b.Count, b.SumNs, b.AvgUS)
+		}
+	}
+}
+
 func TestSweep(t *testing.T) {
 	s := mustService(t, Config{N: 8, Shards: 2})
 	for d := 0; d < 8; d++ {
@@ -347,24 +400,26 @@ func TestSweep(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := s.Metrics().CacheEntries; got != 16 {
-		t.Fatalf("cache entries = %d, want 16", got)
+	if got := s.Metrics().CacheEntries; got != 8 {
+		t.Fatalf("cache entries = %d, want the 8 TSDT ones (SSDT needs no store)", got)
 	}
-	if _, err := s.ReportFault(topology.Link{Stage: 0, From: 0, Kind: topology.Minus}); err != nil {
+	fault(t, s, topology.Link{Stage: 0, From: 0, Kind: topology.Minus})
+	if _, err := s.Route(1, 1, SchemeTSDT); err != nil {
 		t.Fatal(err)
 	}
 	if removed := s.Sweep(); removed != 8 {
-		t.Errorf("sweep removed %d entries, want the 8 stale TSDT ones", removed)
+		t.Errorf("sweep removed %d entries, want the 8 stale ones", removed)
 	}
-	if got := s.Metrics().CacheEntries; got != 8 {
-		t.Errorf("cache entries after sweep = %d, want the 8 SSDT ones", got)
+	if got := s.Metrics().CacheEntries; got != 1 {
+		t.Errorf("cache entries after sweep = %d, want the 1 live one", got)
 	}
 }
 
-// TestConcurrentChurn races routers against fault churn under the race
-// detector and then checks counter conservation.
+// TestConcurrentChurn races routers against fault churn, auto sweeps and
+// operator sweeps under the race detector and then checks counter
+// conservation.
 func TestConcurrentChurn(t *testing.T) {
-	s := mustService(t, Config{N: 32, Shards: 8})
+	s := mustService(t, Config{N: 32, Shards: 8, SweepEvery: 2})
 	const G, R = 8, 300
 	var wg sync.WaitGroup
 	for g := 0; g < G; g++ {
@@ -384,9 +439,13 @@ func TestConcurrentChurn(t *testing.T) {
 				}
 				switch r % 50 {
 				case 10:
-					s.ReportFault(l)
+					s.ApplyFaults([]topology.Link{l}, nil)
 				case 30:
-					s.ReportRepair(l)
+					s.ApplyRepairs([]topology.Link{l})
+				case 40:
+					if g == 1 {
+						s.Sweep()
+					}
 				}
 			}
 		}(g)
@@ -399,69 +458,11 @@ func TestConcurrentChurn(t *testing.T) {
 	if total != G*R {
 		t.Errorf("hits+misses = %d, want %d", total, G*R)
 	}
-	if m.SSDT.HitRate() < 0.9 {
-		t.Errorf("SSDT hit rate %.3f under churn, want >= 0.9 (epoch-exempt entries never die)", m.SSDT.HitRate())
+	if m.SSDT.Misses != 0 || m.SSDT.Hits != G*R/2 {
+		t.Errorf("SSDT stats under churn %+v, want %d hits and no misses", m.SSDT, G*R/2)
 	}
-}
-
-// TestSlicedBatchMetrics pins the sliced-fill accounting: lanes count
-// successfully resolved batch items, blocks count 64-lane flushes, and the
-// latency histogram lands each call in its size band.
-func TestSlicedBatchMetrics(t *testing.T) {
-	s := mustService(t, Config{N: 64})
-	rng := rand.New(rand.NewSource(11))
-	for _, size := range []int{1, 3, 64, 65, 300} {
-		reqs := make([]Request, size)
-		for i := range reqs {
-			reqs[i] = Request{Src: rng.Intn(64), Dst: rng.Intn(64), Scheme: SchemeSSDT}
-		}
-		results, err := s.RouteBatch(reqs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, res := range results {
-			if res.Err != nil {
-				t.Fatalf("size %d item %d: %v", size, i, res.Err)
-			}
-			// The sliced fill must agree with the scalar tag walk.
-			if want := core.PackPath(res.Tag.Follow(s.Params(), res.Src)); res.Path != want {
-				t.Fatalf("size %d item %d: sliced path %v, scalar %v", size, i, res.Path, want)
-			}
-		}
+	if m.CacheEntries != m.CacheEntriesLive+m.CacheEntriesStale {
+		t.Errorf("entries %d != live %d + stale %d", m.CacheEntries, m.CacheEntriesLive, m.CacheEntriesStale)
 	}
-	m := s.Metrics()
-	if want := uint64(1 + 3 + 64 + 65 + 300); m.SlicedLanes != want {
-		t.Errorf("SlicedLanes = %d, want %d", m.SlicedLanes, want)
-	}
-	// Blocks per batch: 1, 1, 1, 2 (64+1) and 5 (4x64+44).
-	if want := uint64(1 + 1 + 1 + 2 + 5); m.SlicedBlocks != want {
-		t.Errorf("SlicedBlocks = %d, want %d", m.SlicedBlocks, want)
-	}
-	if want := 433.0 / 640.0; m.SlicedFill != want {
-		t.Errorf("SlicedFill = %v, want %v", m.SlicedFill, want)
-	}
-	if len(m.BatchLatency) != numBatchBands {
-		t.Fatalf("BatchLatency has %d bands, want %d", len(m.BatchLatency), numBatchBands)
-	}
-	wantCounts := map[string]uint64{"1": 1, "2-4": 1, "5-16": 0, "17-64": 1, "65-256": 1, "257+": 1}
-	for _, b := range m.BatchLatency {
-		if b.Count != wantCounts[b.Batch] {
-			t.Errorf("band %q count = %d, want %d", b.Batch, b.Count, wantCounts[b.Batch])
-		}
-		if b.Count > 0 && b.SumNs == 0 {
-			t.Errorf("band %q has %d samples but zero summed latency", b.Batch, b.Count)
-		}
-	}
-	// Singleton Route calls land in band "1" too.
-	if _, err := s.Route(1, 2, SchemeTSDT); err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range s.Metrics().BatchLatency {
-		if b.Batch == "1" && b.Count != 2 {
-			t.Errorf("band 1 count after Route = %d, want 2", b.Count)
-		}
-	}
-	if got := s.Metrics().SlicedLanes; got != 433 {
-		t.Errorf("Route must not touch the sliced counters, SlicedLanes = %d", got)
-	}
+	s.Drain() // waits out any scheduled sweep
 }

@@ -3,7 +3,6 @@ package routesvc
 import (
 	"errors"
 	"math/rand"
-	"net/http"
 	"sync"
 	"testing"
 	"time"
@@ -13,7 +12,7 @@ import (
 )
 
 // waitMetrics polls the service until cond holds or the deadline passes —
-// auto-sweeps and storm prewarms run on their own goroutines.
+// auto-sweeps run on their own goroutines.
 func waitMetrics(t *testing.T, s *Service, what string, cond func(Metrics) bool) Metrics {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -29,48 +28,68 @@ func waitMetrics(t *testing.T, s *Service, what string, cond func(Metrics) bool)
 	}
 }
 
-// TestPrewarmFirstRequestCached pins the serve-smoke contract: with
-// Config.Prewarm the very first SSDT request of the process is a cache
-// hit out of the dense table.
-func TestPrewarmFirstRequestCached(t *testing.T) {
-	s := mustService(t, Config{N: 64, Prewarm: true})
+// TestSSDTServedByConstruction pins Theorem 3.1's serving contract on a
+// fresh service: the very first SSDT route and batch answer the
+// destination's own tag as cached, computing nothing, storing nothing,
+// and never touching the admission gate — here held full by a parked
+// TSDT flight.
+func TestSSDTServedByConstruction(t *testing.T) {
+	s := mustService(t, Config{N: 64, Admission: AdmissionConfig{MaxQueue: 1, MinQueue: 1, Round: -1}})
+	p := s.Params()
+	entered := make(chan struct{})
+	unblock := make(chan struct{})
+	s.testComputeHook = func() {
+		close(entered)
+		<-unblock
+	}
+	parked := make(chan error, 1)
+	go func() {
+		_, err := s.Route(0, 1, SchemeTSDT)
+		parked <- err
+	}()
+	<-entered
+	if _, err := s.Route(2, 3, SchemeTSDT); !errors.Is(err, ErrOverload) {
+		t.Fatalf("fresh TSDT with the gate full: err = %v, want ErrOverload", err)
+	}
+
 	res, err := s.Route(3, 41, SchemeSSDT)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Cached {
-		t.Fatal("first SSDT request after prewarm was not a cache hit")
+	if !res.Cached || res.Coalesced || res.Tag != core.MustTag(p, 41) || res.Epoch != 0 {
+		t.Fatalf("first SSDT route = %+v, want MustTag(p, 41), cached, epoch 0", res)
 	}
-	if res.Tag != core.MustTag(s.Params(), 41) {
-		t.Fatalf("dense tag = %v", res.Tag)
-	}
-	if got := res.Path.Destination(s.Params()); got != 41 {
-		t.Fatalf("dense-path destination = %d", got)
-	}
-	m := s.Metrics()
-	if m.DenseRoutes != 64 || m.Prewarms != 1 || m.PrewarmRoutes != 64 {
-		t.Fatalf("dense=%d prewarms=%d routes=%d", m.DenseRoutes, m.Prewarms, m.PrewarmRoutes)
-	}
-	if m.SSDT.Misses != 0 || m.SSDT.Hits != 1 {
-		t.Fatalf("SSDT stats after prewarmed request: %+v", m.SSDT)
-	}
-	if m.CacheBytes == 0 || m.BitsPerRoute == 0 {
-		t.Fatalf("footprint metrics empty: bytes=%d bits/route=%g", m.CacheBytes, m.BitsPerRoute)
-	}
-	// The dense table is epoch-exempt (Theorem 3.1): still hit after churn.
-	if _, err := s.ReportFault(topology.Link{Stage: 0, From: 0, Kind: topology.Minus}); err != nil {
+	reqs := []Request{{Src: 0, Dst: 9, Scheme: SchemeSSDT}, {Src: 63, Dst: 0, Scheme: SchemeSSDT}, {Src: 5, Dst: 9, Scheme: SchemeSSDT}}
+	results, err := s.RouteBatch(reqs)
+	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = s.Route(5, 41, SchemeSSDT)
-	if err != nil || !res.Cached {
-		t.Fatalf("SSDT request after fault: cached=%v err=%v", res.Cached, err)
+	for i, r := range results {
+		if r.Err != nil || !r.Cached || r.Tag != core.MustTag(p, reqs[i].Dst) {
+			t.Fatalf("SSDT batch item %d = %+v, want MustTag(p, %d), cached", i, r, reqs[i].Dst)
+		}
+	}
+	m := s.Metrics()
+	if m.SSDT != (CacheStats{Hits: 4}) || m.CacheEntries != 0 {
+		t.Fatalf("after SSDT traffic: ssdt %+v, cache entries %d; want 4 hits, 0 misses, 0 entries", m.SSDT, m.CacheEntries)
+	}
+	if m.Admission.Admitted != 1 || m.Admission.Shed != 1 {
+		t.Fatalf("admission %+v: SSDT traffic reached the gate", m.Admission)
+	}
+
+	close(unblock)
+	if err := <-parked; err != nil {
+		t.Fatalf("parked TSDT flight: %v", err)
+	}
+	if got := s.Metrics().CacheEntries; got != 1 {
+		t.Fatalf("cache entries = %d, want only the TSDT tag", got)
 	}
 }
 
 // TestAutoSweep: stale TSDT entries are reclaimed without an operator
 // call once SweepEvery epoch bumps accumulate.
 func TestAutoSweep(t *testing.T) {
-	s := mustService(t, Config{N: 8, Shards: 2, SweepEvery: 2, PrewarmStorm: -1})
+	s := mustService(t, Config{N: 8, Shards: 2, SweepEvery: 2})
 	for d := 0; d < 8; d++ {
 		if _, err := s.Route(0, d, SchemeTSDT); err != nil {
 			t.Fatal(err)
@@ -82,12 +101,8 @@ func TestAutoSweep(t *testing.T) {
 	}
 	// Two map changes: epoch reaches 2, the cadence fires, and the sweep
 	// (asynchronously) reclaims all 8 now-stale TSDT entries.
-	if _, err := s.ReportFault(topology.Link{Stage: 0, From: 1, Kind: topology.Minus}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.ReportFault(topology.Link{Stage: 1, From: 2, Kind: topology.Plus}); err != nil {
-		t.Fatal(err)
-	}
+	fault(t, s, topology.Link{Stage: 0, From: 1, Kind: topology.Minus})
+	fault(t, s, topology.Link{Stage: 1, From: 2, Kind: topology.Plus})
 	m = waitMetrics(t, s, "auto sweep", func(m Metrics) bool { return m.SweptTotal >= 8 })
 	if m.Sweeps == 0 {
 		t.Fatalf("sweeps = 0 with swept_total = %d", m.SweptTotal)
@@ -97,49 +112,19 @@ func TestAutoSweep(t *testing.T) {
 	}
 }
 
-// TestStormPrewarm: a burst of PrewarmStorm epoch bumps triggers the
-// controller-driven dense-table rebuild.
-func TestStormPrewarm(t *testing.T) {
-	s := mustService(t, Config{N: 16, PrewarmStorm: 3, SweepEvery: -1})
-	if m := s.Metrics(); m.DenseRoutes != 0 {
-		t.Fatalf("dense table before storm: %d routes", m.DenseRoutes)
-	}
-	links := []topology.Link{
-		{Stage: 0, From: 1, Kind: topology.Minus},
-		{Stage: 1, From: 2, Kind: topology.Plus},
-		{Stage: 2, From: 3, Kind: topology.Minus},
-	}
-	for _, l := range links {
-		if _, err := s.ReportFault(l); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m := waitMetrics(t, s, "storm prewarm", func(m Metrics) bool { return m.Prewarms >= 1 })
-	if m.DenseRoutes != 16 || m.PrewarmRoutes < 16 {
-		t.Fatalf("after storm: dense=%d prewarm_routes=%d", m.DenseRoutes, m.PrewarmRoutes)
-	}
-	res, err := s.Route(0, 9, SchemeSSDT)
-	if err != nil || !res.Cached {
-		t.Fatalf("SSDT after storm prewarm: cached=%v err=%v", res.Cached, err)
-	}
-}
-
-// TestPrewarmDrain: a draining service refuses operator prewarms like any
-// other request.
-func TestPrewarmDrain(t *testing.T) {
-	s := mustService(t, Config{N: 8})
-	s.Drain()
-	if _, err := s.Prewarm(); !errors.Is(err, ErrDraining) {
-		t.Fatalf("Prewarm on drained service: %v", err)
-	}
-}
-
 // TestConcurrentPrewarmChurn races routing traffic, epoch churn, operator
-// sweeps and prewarms under the race detector; the -race run of the suite
-// is the satellite's concurrent get/put/prewarm-under-epoch-bumps gate.
+// and auto sweeps, and the whole-row SSDT batches that used to follow a
+// prewarm: with SSDT served by construction, every such batch must still
+// answer MustTag(p, dst) cached while the map and the TSDT cache churn
+// underneath it. Run under -race.
 func TestConcurrentPrewarmChurn(t *testing.T) {
-	s := mustService(t, Config{N: 32, Shards: 4, SweepEvery: 2, PrewarmStorm: 2})
+	s := mustService(t, Config{N: 32, Shards: 4, SweepEvery: 2})
+	p := s.Params()
 	const G, R = 6, 200
+	row := make([]Request, 32)
+	for d := range row {
+		row[d] = Request{Src: 7, Dst: d, Scheme: SchemeSSDT}
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < G; g++ {
 		wg.Add(1)
@@ -155,13 +140,21 @@ func TestConcurrentPrewarmChurn(t *testing.T) {
 				}
 				switch r % 40 {
 				case 5:
-					s.ReportFault(l)
+					s.ApplyFaults([]topology.Link{l}, nil)
 				case 15:
-					s.ReportRepair(l)
+					s.ApplyRepairs([]topology.Link{l})
 				case 25:
 					if g == 0 {
-						if _, err := s.Prewarm(); err != nil {
-							t.Errorf("prewarm: %v", err)
+						results, err := s.RouteBatch(row)
+						if err != nil {
+							t.Errorf("SSDT batch: %v", err)
+							return
+						}
+						for d, res := range results {
+							if res.Err != nil || !res.Cached || res.Tag != core.MustTag(p, d) {
+								t.Errorf("SSDT batch item %d under churn = %+v, want MustTag(p, %d), cached", d, res, d)
+								return
+							}
 						}
 					}
 				case 35:
@@ -175,37 +168,14 @@ func TestConcurrentPrewarmChurn(t *testing.T) {
 	wg.Wait()
 	m := s.Metrics()
 	total := m.SSDT.Hits + m.SSDT.Misses + m.TSDT.Hits + m.TSDT.Misses
-	if total != G*R {
-		t.Errorf("hits+misses = %d, want %d", total, G*R)
+	if want := uint64(G*R + 5*len(row)); total != want {
+		t.Errorf("hits+misses = %d, want %d", total, want)
+	}
+	if m.SSDT.Misses != 0 {
+		t.Errorf("SSDT misses = %d under churn, want 0", m.SSDT.Misses)
 	}
 	if m.CacheEntries != m.CacheEntriesLive+m.CacheEntriesStale {
 		t.Errorf("entries %d != live %d + stale %d", m.CacheEntries, m.CacheEntriesLive, m.CacheEntriesStale)
 	}
-	s.Drain() // waits out any scheduled sweep/prewarm goroutines
-}
-
-// TestPrewarmEndpoint drives POST /prewarm and checks the metrics
-// surface.
-func TestPrewarmEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{N: 16})
-	var pw PrewarmJSON
-	postJSON(t, ts.URL+"/prewarm", struct{}{}, http.StatusOK, &pw)
-	if pw.Routes != 16 {
-		t.Fatalf("prewarm routes = %d, want 16", pw.Routes)
-	}
-	getJSON(t, ts.URL+"/prewarm", http.StatusBadRequest, nil)
-
-	var route RouteJSON
-	getJSON(t, ts.URL+"/route?src=2&dst=9&scheme=ssdt", http.StatusOK, &route)
-	if !route.Cached {
-		t.Fatal("first SSDT request after POST /prewarm not cached")
-	}
-	var m MetricsJSON
-	getJSON(t, ts.URL+"/metrics", http.StatusOK, &m)
-	if m.Service.DenseRoutes != 16 || m.Service.Prewarms != 1 {
-		t.Fatalf("metrics: dense=%d prewarms=%d", m.Service.DenseRoutes, m.Service.Prewarms)
-	}
-	if m.Service.CacheBytes == 0 {
-		t.Fatal("cache_bytes = 0")
-	}
+	s.Drain() // waits out any scheduled sweep goroutines
 }

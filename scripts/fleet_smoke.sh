@@ -21,7 +21,7 @@
 #      -slow-cost compute, i.e. the overhead is judged against real
 #      slow-path work, not against a cache hit that nothing would proxy.
 #
-#   3. mixed: a fresh 3-backend -prewarm fleet serves 4 named partitions
+#   3. mixed: a fresh 3-backend fleet serves 4 named partitions
 #      of mixed singles/batch traffic while fault/repair churn is
 #      confined to partition p0 (-churn-net). `iadmload -check
 #      -min-ssdt-hit 0.9` enforces zero request errors, zero 5xx and a
@@ -218,7 +218,7 @@ echo "fleet-smoke: phase 3, mixed load with churn confined to p0"
 bk=0
 backends=""
 while [ "$bk" -lt 3 ]; do
-    "$tmp/iadmd" -n "$N" -addr 127.0.0.1:0 -portfile "$tmp/mix$bk.port" -prewarm \
+    "$tmp/iadmd" -n "$N" -addr 127.0.0.1:0 -portfile "$tmp/mix$bk.port" \
         >"$tmp/mix$bk.log" 2>&1 &
     pid=$!
     pids="$pids $pid"

@@ -4,14 +4,12 @@
 # Builds iadmd and iadmload into a temp dir, starts the daemon at the
 # acceptance shape (N=1024) on an ephemeral port, and drives two load
 # phases, each under `iadmload -check -min-ssdt-hit 0.9` (non-zero
-# throughput, zero request errors, zero server 5xx, SSDT cache hit rate
-# >= 90%):
+# throughput, zero request errors, zero server 5xx, every served tag
+# verified by the client, SSDT hit rate >= 90%):
 #
 #   1. singles: ~2s of /route traffic with 8 workers and 1% fault churn;
-#   2. batch-heavy: mixed /route/batch sizes (singletons, sub-block,
-#      one-block, and non-multiple-of-64 shapes) driving the server's
-#      bit-sliced fill path, with -check additionally requiring the
-#      server to report sliced-kernel lanes used.
+#   2. batch-heavy: mixed /route/batch sizes (singletons, small, medium
+#      and large batches, non-multiples of 64 included).
 #
 # Finishes by delivering SIGTERM and requiring a clean drain.
 #
@@ -24,11 +22,10 @@
 # saturation offered, zero 5xx, successes still flowing, and a bounded
 # client p99. That daemon too must drain cleanly under SIGTERM.
 #
-# Phase 4 starts a third daemon with -prewarm, which bulk-fills the
-# dense SSDT tag table through the sliced kernels before the listener
-# accepts traffic, and drives pure-SSDT load with
-# `-check -min-ssdt-hit 0.99`: every request from the very first one
-# must come out of the prewarmed table. It too must drain cleanly.
+# Phase 4 starts a fresh third daemon and drives pure-SSDT load with
+# `-check -min-ssdt-hit 0.99`: an SSDT tag is the destination address
+# (Theorem 3.1), so every request from the very first one must be served
+# without a tag computation. It too must drain cleanly.
 set -eu
 
 GO=${GO:-go}
@@ -51,10 +48,10 @@ OVERLOAD_SLOW_COST=${OVERLOAD_SLOW_COST:-2ms}
 OVERLOAD_MIN_FACTOR=${OVERLOAD_MIN_FACTOR:-4}
 OVERLOAD_MAX_P99US=${OVERLOAD_MAX_P99US:-20000}
 
-# Prewarm phase knobs (phase 4).
-PREWARM_N=${PREWARM_N:-1024}
-PREWARM_DURATION=${PREWARM_DURATION:-1s}
-PREWARM_MIN_SSDT_HIT=${PREWARM_MIN_SSDT_HIT:-0.99}
+# Fresh-daemon SSDT phase knobs (phase 4).
+SSDT_N=${SSDT_N:-1024}
+SSDT_DURATION=${SSDT_DURATION:-1s}
+SSDT_MIN_HIT=${SSDT_MIN_HIT:-0.99}
 
 tmp=$(mktemp -d)
 daemon_pid=""
@@ -155,49 +152,45 @@ if ! grep -q drained "$tmp/iadmd-overload.log"; then
     exit 1
 fi
 
-echo "serve-smoke: phase 4, prewarmed SSDT (hit rate >= $PREWARM_MIN_SSDT_HIT from the first request)"
-"$tmp/iadmd" -n "$PREWARM_N" -addr 127.0.0.1:0 -portfile "$tmp/port3" -prewarm \
-    >"$tmp/iadmd-prewarm.log" 2>&1 &
+echo "serve-smoke: phase 4, fresh daemon SSDT (hit rate >= $SSDT_MIN_HIT from the first request)"
+"$tmp/iadmd" -n "$SSDT_N" -addr 127.0.0.1:0 -portfile "$tmp/port3" \
+    >"$tmp/iadmd-ssdt.log" 2>&1 &
 daemon_pid=$!
 i=0
 while [ ! -s "$tmp/port3" ]; do
     i=$((i + 1))
     if [ "$i" -gt 100 ]; then
-        echo "serve-smoke: prewarm daemon never wrote $tmp/port3" >&2
-        cat "$tmp/iadmd-prewarm.log" >&2
+        echo "serve-smoke: SSDT daemon never wrote $tmp/port3" >&2
+        cat "$tmp/iadmd-ssdt.log" >&2
         exit 1
     fi
     if ! kill -0 "$daemon_pid" 2>/dev/null; then
-        echo "serve-smoke: prewarm daemon exited during startup" >&2
-        cat "$tmp/iadmd-prewarm.log" >&2
+        echo "serve-smoke: SSDT daemon exited during startup" >&2
+        cat "$tmp/iadmd-ssdt.log" >&2
         exit 1
     fi
     sleep 0.1
 done
 addr3=$(cat "$tmp/port3")
-if ! grep -q prewarmed "$tmp/iadmd-prewarm.log"; then
-    echo "serve-smoke: daemon started with -prewarm but logged no prewarm line" >&2
-    cat "$tmp/iadmd-prewarm.log" >&2
-    exit 1
-fi
 
-# Pure SSDT, no churn: with the dense table filled before the listener
-# came up, the server-side SSDT hit rate must be total — well above the
-# 0.99 floor — starting from the very first request.
-"$tmp/iadmload" -addr "$addr3" -workers "$WORKERS" -duration "$PREWARM_DURATION" \
-    -tsdt 0 -check -min-ssdt-hit "$PREWARM_MIN_SSDT_HIT"
+# Pure SSDT, no churn, on a daemon that has served nothing: the tag is
+# the destination address, so the server-side SSDT hit rate must be
+# total — well above the 0.99 floor — starting from the very first
+# request.
+"$tmp/iadmload" -addr "$addr3" -workers "$WORKERS" -duration "$SSDT_DURATION" \
+    -tsdt 0 -check -min-ssdt-hit "$SSDT_MIN_HIT"
 
-echo "serve-smoke: SIGTERM to the prewarm daemon, expecting a clean drain"
+echo "serve-smoke: SIGTERM to the SSDT daemon, expecting a clean drain"
 kill -TERM "$daemon_pid"
 if ! wait "$daemon_pid"; then
-    echo "serve-smoke: prewarm daemon exited non-zero on SIGTERM" >&2
-    cat "$tmp/iadmd-prewarm.log" >&2
+    echo "serve-smoke: SSDT daemon exited non-zero on SIGTERM" >&2
+    cat "$tmp/iadmd-ssdt.log" >&2
     exit 1
 fi
 daemon_pid=""
-if ! grep -q drained "$tmp/iadmd-prewarm.log"; then
-    echo "serve-smoke: no drain line in the prewarm daemon log" >&2
-    cat "$tmp/iadmd-prewarm.log" >&2
+if ! grep -q drained "$tmp/iadmd-ssdt.log"; then
+    echo "serve-smoke: no drain line in the SSDT daemon log" >&2
+    cat "$tmp/iadmd-ssdt.log" >&2
     exit 1
 fi
 echo "serve-smoke: ok"
