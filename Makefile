@@ -151,8 +151,10 @@ fuzz:
 # optimized-vs-reference differential oracles (packet and wormhole
 # modes), the packed-path round-trip/accessor-parity check, the
 # sliced-vs-packed kernel parity oracle, the
-# tag-table-vs-scalar-kernel round-trip oracle, and the route wire
-# codec-vs-encoding/json differential, 10s each.
+# tag-table-vs-scalar-kernel round-trip oracle, the route wire
+# codec-vs-encoding/json differential, and the served-tag oracle (every
+# TSDT tag checked against the blocked set of the epoch it is stamped
+# with, under fuzzed fault/repair/route/sweep schedules), 10s each.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRingQueue -fuzztime 10s ./internal/simulator
 	$(GO) test -run '^$$' -fuzz FuzzDifferential -fuzztime 10s ./internal/refsim
@@ -161,3 +163,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSlicedParity -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzTagTable -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzRouteCodec -fuzztime 10s ./internal/routesvc
+	$(GO) test -run '^$$' -fuzz FuzzServedTagOracle -fuzztime 10s ./internal/routesvc

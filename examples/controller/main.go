@@ -2,7 +2,7 @@
 // responsible for collecting [blockage] information and maintaining a
 // global map of blockages, which is accessible to every sender". This
 // example runs that controller with many concurrent senders while links
-// fail and get repaired, and reports cache behaviour and connectivity.
+// fail and get repaired, and reports delivery and connectivity.
 //
 // Run with: go run ./examples/controller
 package main
@@ -89,10 +89,7 @@ func main() {
 	}
 	wg.Wait()
 
-	st := ctl.Stats()
 	fmt.Printf("routed %d messages concurrently (%d momentarily unroutable)\n",
 		delivered.Load(), unroutable.Load())
-	fmt.Printf("tag cache: %d hits, %d computed, %d failures (hit rate %.1f%%)\n",
-		st.Hits, st.Misses, st.Fails, 100*st.HitRate())
 	fmt.Printf("final faults: %v\nfinal connectivity: %.4f\n", ctl.Faults(), ctl.Connectivity())
 }

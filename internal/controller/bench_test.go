@@ -6,23 +6,7 @@ import (
 	"iadm/internal/topology"
 )
 
-func BenchmarkRouteTagCacheHit(b *testing.B) {
-	c, err := New(64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := c.RouteTag(1, 2); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.RouteTag(1, 2); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRouteTagCacheMiss(b *testing.B) {
+func BenchmarkRouteTagAfterMapChange(b *testing.B) {
 	c, err := New(64)
 	if err != nil {
 		b.Fatal(err)
@@ -30,7 +14,7 @@ func BenchmarkRouteTagCacheMiss(b *testing.B) {
 	l := topology.Link{Stage: 0, From: 0, Kind: topology.Plus}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Alternate fault/repair to invalidate the cache every iteration.
+		// Alternate fault/repair so every iteration routes against a new map.
 		if i%2 == 0 {
 			c.ReportFault(l)
 		} else {

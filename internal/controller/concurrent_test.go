@@ -2,18 +2,17 @@ package controller
 
 import (
 	"sync"
-	"sync/atomic"
 	"testing"
 
+	"iadm/internal/core"
 	"iadm/internal/topology"
 )
 
-// TestStatsConcurrentHitRate hammers a fixed pair set from many goroutines
-// and checks the Stats snapshot accounting: every request is either a hit
-// or a miss, and with a frozen blockage map each distinct pair is computed
-// exactly once — the second checker under the write lock must turn every
-// racing duplicate compute into a hit.
-func TestStatsConcurrentHitRate(t *testing.T) {
+// TestStatsConcurrentRouteTagAt hammers a fixed pair set from many
+// goroutines on a frozen map: every tag must come back at epoch 0 as the
+// all-C tag of its destination, and the Stats snapshot must count no
+// failures. A fault then moves every later tag to epoch 1, around it.
+func TestStatsConcurrentRouteTagAt(t *testing.T) {
 	c := mustNew(t, 16)
 	const G, R = 8, 400
 	pairs := [][2]int{{0, 5}, {3, 3}, {7, 12}, {15, 1}, {9, 9}, {2, 14}}
@@ -25,8 +24,13 @@ func TestStatsConcurrentHitRate(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < R; r++ {
 				p := pairs[(g+r)%len(pairs)]
-				if _, err := c.RouteTag(p[0], p[1]); err != nil {
-					t.Errorf("RouteTag(%d, %d): %v", p[0], p[1], err)
+				tag, epoch, err := c.RouteTagAt(p[0], p[1])
+				if err != nil {
+					t.Errorf("RouteTagAt(%d, %d): %v", p[0], p[1], err)
+					return
+				}
+				if epoch != 0 || tag != core.MustTag(c.Params(), p[1]) {
+					t.Errorf("RouteTagAt(%d, %d) = %v at epoch %d on a clean map", p[0], p[1], tag, epoch)
 					return
 				}
 			}
@@ -34,94 +38,75 @@ func TestStatsConcurrentHitRate(t *testing.T) {
 	}
 	wg.Wait()
 
-	st := c.Stats()
-	total := uint64(G * R)
-	if st.Hits+st.Misses != total {
-		t.Errorf("hits(%d)+misses(%d) = %d, want %d", st.Hits, st.Misses, st.Hits+st.Misses, total)
-	}
-	if st.Misses != uint64(len(pairs)) {
-		t.Errorf("misses = %d, want one per distinct pair (%d)", st.Misses, len(pairs))
-	}
-	if st.Fails != 0 || st.Epoch != 0 || st.BlockedLinks != 0 {
-		t.Errorf("unexpected fails/epoch/blocked in %+v", st)
-	}
-	if st.CacheEntries != len(pairs) {
-		t.Errorf("cache entries = %d, want %d", st.CacheEntries, len(pairs))
-	}
-	if want := 1 - float64(len(pairs))/float64(total); st.HitRate() < want-1e-9 {
-		t.Errorf("hit rate %.4f, want >= %.4f", st.HitRate(), want)
+	if st := c.Stats(); st != (Stats{}) {
+		t.Errorf("stats on a clean map = %+v, want zero", st)
 	}
 
-	// A fault invalidates: the same pair costs exactly one more miss.
-	c.ReportFault(topology.Link{Stage: 0, From: 0, Kind: topology.Minus})
+	// A fault moves the epoch: the same pair is recomputed around it.
+	l := topology.Link{Stage: 0, From: 0, Kind: topology.Minus}
+	c.ReportFault(l)
 	for i := 0; i < 3; i++ {
-		if _, err := c.RouteTag(0, 5); err != nil {
+		tag, epoch, err := c.RouteTagAt(0, 5)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if epoch != 1 {
+			t.Errorf("tag computed at epoch %d, want 1", epoch)
+		}
+		avoids(t, c, 0, tag, []topology.Link{l})
 	}
-	st2 := c.Stats()
-	if st2.Misses != st.Misses+1 {
-		t.Errorf("misses after fault = %d, want %d", st2.Misses, st.Misses+1)
-	}
-	if st2.Epoch != 1 || st2.BlockedLinks != 1 {
-		t.Errorf("epoch/blocked after fault: %+v", st2)
+	if st := c.Stats(); st != (Stats{Fails: 0, Epoch: 1, BlockedLinks: 1}) {
+		t.Errorf("stats after fault: %+v", st)
 	}
 }
 
-// TestOnInvalidateHook checks that every effective map change (and only
-// those) fires the hook, in epoch order, and that concurrent mutators and
-// readers don't race with it.
-func TestOnInvalidateHook(t *testing.T) {
+// TestReportsReturnEpochs checks that every effective map change (and only
+// those) returns the epoch it produced, each epoch exactly once, also
+// under concurrent mutators and readers.
+func TestReportsReturnEpochs(t *testing.T) {
 	c := mustNew(t, 8)
-	var fired atomic.Uint64
-	var mu sync.Mutex
-	var seen []uint64
-	c.OnInvalidate(func(e uint64) {
-		fired.Add(1)
-		mu.Lock()
-		seen = append(seen, e)
-		mu.Unlock()
-	})
-
 	l := topology.Link{Stage: 1, From: 2, Kind: topology.Plus}
-	if !c.ReportFault(l) {
-		t.Fatal("first fault reported no change")
+	if e := c.ReportFault(l); e != 1 {
+		t.Fatalf("first fault produced epoch %d, want 1", e)
 	}
-	if c.ReportFault(l) {
-		t.Error("duplicate fault reported a change")
+	if e := c.ReportFault(l); e != 0 {
+		t.Errorf("duplicate fault produced epoch %d", e)
 	}
-	if !c.ReportRepair(l) {
-		t.Fatal("repair reported no change")
+	if e := c.ReportRepair(l); e != 2 {
+		t.Fatalf("repair produced epoch %d, want 2", e)
 	}
-	if c.ReportRepair(l) {
-		t.Error("duplicate repair reported a change")
-	}
-	if got := fired.Load(); got != 2 {
-		t.Fatalf("hook fired %d times, want 2", got)
-	}
-	for i, e := range seen {
-		if e != uint64(i+1) {
-			t.Fatalf("hook epochs %v not in order", seen)
-		}
+	if e := c.ReportRepair(l); e != 0 {
+		t.Errorf("duplicate repair produced epoch %d", e)
 	}
 
-	// Concurrent churn: hooks fire once per effective change.
+	// Concurrent churn: one returned epoch per effective change.
 	var wg sync.WaitGroup
 	const G = 4
+	got := make([][]uint64, G)
 	for g := 0; g < G; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			ml := topology.Link{Stage: 0, From: g, Kind: topology.Minus}
 			for i := 0; i < 50; i++ {
-				c.ReportFault(ml)
+				got[g] = append(got[g], c.ReportFault(ml))
 				c.RouteTag(g, (g+3)%8)
-				c.ReportRepair(ml)
+				got[g] = append(got[g], c.ReportRepair(ml))
 			}
 		}(g)
 	}
 	wg.Wait()
-	if fired.Load() != c.Epoch() {
-		t.Errorf("hook fired %d times, epoch is %d", fired.Load(), c.Epoch())
+	seen := make([]bool, c.Epoch()+1)
+	seen[1], seen[2] = true, true
+	for _, es := range got {
+		for _, e := range es {
+			if e == 0 || e >= uint64(len(seen)) || seen[e] {
+				t.Fatalf("epoch %d returned twice, as no-op, or past the current epoch %d", e, c.Epoch())
+			}
+			seen[e] = true
+		}
+	}
+	if want := uint64(2 + 2*50*G); c.Epoch() != want {
+		t.Errorf("epoch %d after churn, want %d", c.Epoch(), want)
 	}
 }

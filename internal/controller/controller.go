@@ -5,10 +5,12 @@
 // of blockages, which is accessible to every sender of the messages in
 // order to compute a path to avoid the blockages."
 //
-// The controller accepts fault and repair reports, serves rerouting-tag
-// requests computed with algorithm REROUTE, and caches computed tags per
-// (source, destination) pair, invalidating the cache when the blockage map
-// changes. It is safe for concurrent use by multiple senders.
+// The controller is exactly that map: it accepts fault and repair reports,
+// versions the map with an epoch, and computes rerouting tags with
+// algorithm REROUTE against it, returning each tag with the epoch of the
+// map it was checked against. It memoizes nothing; callers that cache tags
+// (routesvc) stamp them with that epoch. It is safe for concurrent use by
+// multiple senders.
 package controller
 
 import (
@@ -25,25 +27,15 @@ import (
 type Controller struct {
 	p topology.Params
 
-	mu    sync.RWMutex
-	blk   *blockage.Set
-	cache map[pair]entry
-	subs  []func(epoch uint64)
+	mu  sync.RWMutex
+	blk *blockage.Set
 
-	// epoch is incremented (under mu) on every map change; reads are
-	// lock-free so serving layers can stamp cache entries per request
-	// without contending with tag computation.
+	// epoch is incremented only under the write lock, on every map
+	// change; reads are lock-free, and a load made under the read lock
+	// names exactly the map the lock protects until it is released.
 	epoch atomic.Uint64
 
-	// stats (atomic: the hit counter is bumped under the read lock)
-	hits, misses, fails atomic.Uint64
-}
-
-type pair struct{ s, d int }
-
-type entry struct {
-	tag   core.Tag
-	epoch uint64
+	fails atomic.Uint64 // rerouting failures (bumped under the read lock)
 }
 
 // New creates a controller for a fault-free network of size N.
@@ -52,59 +44,34 @@ func New(N int) (*Controller, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Controller{
-		p:     p,
-		blk:   blockage.NewSet(p),
-		cache: make(map[pair]entry),
-	}, nil
+	return &Controller{p: p, blk: blockage.NewSet(p)}, nil
 }
 
 // Params returns the network parameters.
 func (c *Controller) Params() topology.Params { return c.p }
 
-// bumpEpoch records a map change and notifies subscribers. Callers must
-// hold mu.
-func (c *Controller) bumpEpoch() {
-	e := c.epoch.Add(1)
-	for _, fn := range c.subs {
-		fn(e)
-	}
-}
-
-// OnInvalidate registers a hook invoked after every blockage-map change
-// with the new epoch. Hooks run synchronously while the controller's write
-// lock is held — they observe bumps in exact order, and must be fast and
-// must not call back into the Controller.
-func (c *Controller) OnInvalidate(fn func(epoch uint64)) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.subs = append(c.subs, fn)
-}
-
-// ReportFault records a blocked link. Reporting an already blocked link is
-// a no-op (and does not invalidate the cache). It reports whether the map
-// changed.
-func (c *Controller) ReportFault(l topology.Link) bool {
+// ReportFault records a blocked link and returns the epoch the change
+// produced, or 0 when the link was already blocked (a no-op report).
+func (c *Controller) ReportFault(l topology.Link) uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.blk.Blocked(l) {
-		return false
+		return 0
 	}
 	c.blk.Block(l)
-	c.bumpEpoch()
-	return true
+	return c.epoch.Add(1)
 }
 
-// ReportRepair clears a blocked link. It reports whether the map changed.
-func (c *Controller) ReportRepair(l topology.Link) bool {
+// ReportRepair clears a blocked link and returns the epoch the change
+// produced, or 0 when the link was not blocked.
+func (c *Controller) ReportRepair(l topology.Link) uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.blk.Blocked(l) {
-		return false
+		return 0
 	}
 	c.blk.Unblock(l)
-	c.bumpEpoch()
-	return true
+	return c.epoch.Add(1)
 }
 
 // ValidateSwitchFault checks that a switch-fault report would be accepted
@@ -119,18 +86,16 @@ func (c *Controller) ValidateSwitchFault(sw topology.Switch) error {
 
 // ReportSwitchFault records a faulty switch via the paper's input-link
 // transformation. It returns how many input links were newly blocked
-// (already blocked inputs, e.g. from an earlier link report, are no-ops).
-func (c *Controller) ReportSwitchFault(sw topology.Switch) (int, error) {
+// (already blocked inputs, e.g. from an earlier link report, are no-ops)
+// and the epoch the change produced, or 0 when nothing was blocked.
+func (c *Controller) ReportSwitchFault(sw topology.Switch) (int, uint64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	blocked, err := c.blk.BlockSwitch(sw)
-	if err != nil {
-		return 0, err
+	if err != nil || blocked == 0 {
+		return 0, 0, err
 	}
-	if blocked > 0 {
-		c.bumpEpoch()
-	}
-	return blocked, nil
+	return blocked, c.epoch.Add(1), nil
 }
 
 // Faults returns a snapshot of the blocked links.
@@ -144,89 +109,51 @@ func (c *Controller) Faults() []topology.Link {
 // map does. It is lock-free.
 func (c *Controller) Epoch() uint64 { return c.epoch.Load() }
 
-// RouteTag returns a TSDT tag routing s to d around all currently known
-// blockages, or an error wrapping core.ErrNoPath when the network is
-// disconnected for the pair. Computed tags are cached until the blockage
-// map changes.
+// RouteTag is RouteTagAt without the epoch.
 func (c *Controller) RouteTag(s, d int) (core.Tag, error) {
+	tag, _, err := c.RouteTagAt(s, d)
+	return tag, err
+}
+
+// RouteTagAt returns a TSDT tag routing s to d around the blockage map
+// and the epoch of that map, or an error wrapping core.ErrNoPath when the
+// network is disconnected for the pair. The tag is computed under the read
+// lock, which every epoch bump waits out, so the returned epoch names
+// exactly the map the tag was checked against.
+func (c *Controller) RouteTagAt(s, d int) (core.Tag, uint64, error) {
 	if !c.p.ValidSwitch(s) || !c.p.ValidSwitch(d) {
-		return core.Tag{}, fmt.Errorf("controller: invalid pair (%d, %d)", s, d)
+		return core.Tag{}, 0, fmt.Errorf("controller: invalid pair (%d, %d)", s, d)
 	}
-	key := pair{s, d}
-
 	c.mu.RLock()
-	if e, ok := c.cache[key]; ok && e.epoch == c.epoch.Load() {
-		c.hits.Add(1)
-		c.mu.RUnlock()
-		return e.tag, nil
-	}
-	c.mu.RUnlock()
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	// Recheck under the write lock (another sender may have filled it).
-	if e, ok := c.cache[key]; ok && e.epoch == c.epoch.Load() {
-		c.hits.Add(1)
-		return e.tag, nil
-	}
-	c.misses.Add(1)
+	defer c.mu.RUnlock()
+	epoch := c.epoch.Load()
 	tag := core.MustTag(c.p, d)
 	// REROUTE returns the all-C tag unchanged when its route is clear;
-	// checking that on the packed walk first keeps the common miss
+	// checking that on the packed walk first keeps the common case
 	// allocation-free.
 	if _, hit := core.RouteTSDTPacked(c.p, s, tag).FirstBlocked(c.p, c.blk); hit {
 		var err error
 		if tag, _, err = core.Reroute(c.p, c.blk, s, tag); err != nil {
 			c.fails.Add(1)
-			return core.Tag{}, err
+			return core.Tag{}, epoch, err
 		}
 	}
-	c.cache[key] = entry{tag: tag, epoch: c.epoch.Load()}
-	return tag, nil
+	return tag, epoch, nil
 }
 
-// Route is RouteTag plus the concrete path.
-func (c *Controller) Route(s, d int) (core.Tag, core.Path, error) {
-	tag, err := c.RouteTag(s, d)
-	if err != nil {
-		return core.Tag{}, core.Path{}, err
-	}
-	return tag, tag.Follow(c.p, s), nil
-}
-
-// Stats is a point-in-time snapshot of the controller's cache behaviour
-// and map state.
+// Stats is a point-in-time snapshot of the controller's map state.
 type Stats struct {
-	Hits         uint64 `json:"hits"`          // requests answered from the tag cache
-	Misses       uint64 `json:"misses"`        // tags computed with REROUTE
 	Fails        uint64 `json:"fails"`         // rerouting failures (pair disconnected)
 	Epoch        uint64 `json:"epoch"`         // blockage-map version
-	CacheEntries int    `json:"cache_entries"` // cached tags (stale epochs included)
 	BlockedLinks int    `json:"blocked_links"` // currently blocked links
 }
 
-// HitRate returns the fraction of requests served from the cache, or 0
-// before any request.
-func (s Stats) HitRate() float64 {
-	if s.Hits+s.Misses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Hits+s.Misses)
-}
-
-// Stats reports a consistent snapshot of cache behaviour: hits, misses
-// (tags computed), rerouting failures, the current epoch, and map sizes.
+// Stats reports a consistent snapshot: rerouting failures, the current
+// epoch and the number of blocked links.
 func (c *Controller) Stats() Stats {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return Stats{
-		Hits:         c.hits.Load(),
-		Misses:       c.misses.Load(),
-		Fails:        c.fails.Load(),
-		Epoch:        c.epoch.Load(),
-		CacheEntries: len(c.cache),
-		BlockedLinks: c.blk.Count(),
-	}
+	return Stats{Fails: c.fails.Load(), Epoch: c.epoch.Load(), BlockedLinks: c.blk.Count()}
 }
 
 // Connectivity returns the fraction of (s, d) pairs currently routable.

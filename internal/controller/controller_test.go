@@ -29,11 +29,11 @@ func TestRouteCleanNetwork(t *testing.T) {
 	c := mustNew(t, 8)
 	for s := 0; s < 8; s++ {
 		for d := 0; d < 8; d++ {
-			_, path, err := c.Route(s, d)
+			tag, err := c.RouteTag(s, d)
 			if err != nil {
-				t.Fatalf("Route(%d,%d): %v", s, d, err)
+				t.Fatalf("RouteTag(%d,%d): %v", s, d, err)
 			}
-			if path.Destination() != d {
+			if path := tag.Follow(c.Params(), s); path.Destination() != d {
 				t.Fatalf("delivered to %d", path.Destination())
 			}
 		}
@@ -53,46 +53,54 @@ func TestRouteInvalidPair(t *testing.T) {
 	}
 }
 
-func TestCacheHitsAndInvalidation(t *testing.T) {
-	c := mustNew(t, 8)
-	if _, err := c.RouteTag(1, 0); err != nil {
-		t.Fatal(err)
+// avoids fails the test when tag, followed from s, uses a link of blocked.
+func avoids(t *testing.T, c *Controller, s int, tag core.Tag, blocked []topology.Link) {
+	t.Helper()
+	for _, pl := range tag.Follow(c.Params(), s).Links {
+		for _, l := range blocked {
+			if pl == l {
+				t.Errorf("tag %v from %d uses blocked link %v", tag, s, l)
+			}
+		}
 	}
-	if _, err := c.RouteTag(1, 0); err != nil {
-		t.Fatal(err)
-	}
-	st := c.Stats()
-	if st.Misses != 1 || st.Hits != 1 {
-		t.Errorf("hits=%d misses=%d, want 1/1", st.Hits, st.Misses)
-	}
+}
 
-	// A fault report invalidates the cache...
-	epoch := c.Epoch()
-	l := topology.Link{Stage: 0, From: 1, Kind: topology.Minus}
-	c.ReportFault(l)
-	if c.Epoch() == epoch {
-		t.Error("epoch did not change on fault")
-	}
-	tag, err := c.RouteTag(1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := c.Stats(); st.Misses != 2 {
-		t.Errorf("misses = %d, want 2 after invalidation", st.Misses)
-	}
-	// ...and the fresh tag avoids the fault.
-	path := tag.Follow(c.Params(), 1)
-	for _, pl := range path.Links {
-		if pl == l {
-			t.Error("cached-then-recomputed tag still uses the faulty link")
+// TestRouteTagAtFollowsMap checks that RouteTagAt reports the epoch of the
+// map its tag avoids, before and after a fault, and that duplicate reports
+// leave the epoch alone.
+func TestRouteTagAtFollowsMap(t *testing.T) {
+	c := mustNew(t, 8)
+	for i := 0; i < 2; i++ {
+		tag, epoch, err := c.RouteTagAt(1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if epoch != 0 || tag != core.MustTag(c.Params(), 0) {
+			t.Errorf("clean map: tag %v at epoch %d, want all-C tag at 0", tag, epoch)
 		}
 	}
 
+	// A fault report moves the epoch...
+	l := topology.Link{Stage: 0, From: 1, Kind: topology.Minus}
+	if e := c.ReportFault(l); e != 1 || c.Epoch() != 1 {
+		t.Errorf("fault produced epoch %d (current %d), want 1", e, c.Epoch())
+	}
+	tag, epoch, err := c.RouteTagAt(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if epoch != 1 {
+		t.Errorf("tag computed at epoch %d, want 1", epoch)
+	}
+	// ...and the tag computed against the new map avoids the fault.
+	avoids(t, c, 1, tag, []topology.Link{l})
+
 	// Duplicate fault reports are no-ops.
-	epoch = c.Epoch()
-	c.ReportFault(l)
-	if c.Epoch() != epoch {
-		t.Error("duplicate fault changed the epoch")
+	if e := c.ReportFault(l); e != 0 || c.Epoch() != 1 {
+		t.Errorf("duplicate fault produced epoch %d (current %d)", e, c.Epoch())
+	}
+	if st := c.Stats(); st != (Stats{Fails: 0, Epoch: 1, BlockedLinks: 1}) {
+		t.Errorf("stats = %+v", st)
 	}
 }
 
@@ -120,31 +128,31 @@ func TestRepairRestoresRoutes(t *testing.T) {
 
 func TestReportSwitchFault(t *testing.T) {
 	c := mustNew(t, 8)
-	blocked, err := c.ReportSwitchFault(topology.Switch{Stage: 1, Index: 0})
+	blocked, e, err := c.ReportSwitchFault(topology.Switch{Stage: 1, Index: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if blocked != 3 {
-		t.Errorf("ReportSwitchFault blocked %d links, want 3", blocked)
+	if blocked != 3 || e != 1 {
+		t.Errorf("ReportSwitchFault blocked %d links at epoch %d, want 3 at 1", blocked, e)
 	}
 	if got := len(c.Faults()); got != 3 {
 		t.Errorf("Faults = %d links, want 3", got)
 	}
-	_, path, err := c.Route(1, 0)
+	tag, err := c.RouteTag(1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if path.SwitchAt(1) == 0 {
+	if path := tag.Follow(c.Params(), 1); path.SwitchAt(1) == 0 {
 		t.Errorf("path %v passes through the faulty switch", path)
 	}
 	epoch := c.Epoch()
-	if blocked, err := c.ReportSwitchFault(topology.Switch{Stage: 1, Index: 0}); err != nil || blocked != 0 {
-		t.Errorf("duplicate switch fault = (%d, %v), want (0, nil)", blocked, err)
+	if blocked, e, err := c.ReportSwitchFault(topology.Switch{Stage: 1, Index: 0}); err != nil || blocked != 0 || e != 0 {
+		t.Errorf("duplicate switch fault = (%d, %d, %v), want (0, 0, nil)", blocked, e, err)
 	}
 	if c.Epoch() != epoch {
 		t.Error("no-op switch fault bumped the epoch")
 	}
-	if _, err := c.ReportSwitchFault(topology.Switch{Stage: 0, Index: 0}); err == nil {
+	if _, _, err := c.ReportSwitchFault(topology.Switch{Stage: 0, Index: 0}); err == nil {
 		t.Error("accepted input-column switch fault")
 	}
 	if err := c.ValidateSwitchFault(topology.Switch{Stage: 0, Index: 0}); err == nil {

@@ -518,7 +518,7 @@ type EndpointJSON struct {
 
 // MetricsJSON is the wire form of /metrics. Service carries the cache and
 // request counters (see Metrics); Controller carries the inner
-// controller's REROUTE cache snapshot.
+// controller's map state: rerouting failures, epoch and blocked links.
 type MetricsJSON struct {
 	Service    Metrics                 `json:"service"`
 	Controller controller.Stats        `json:"controller"`

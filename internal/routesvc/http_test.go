@@ -258,7 +258,7 @@ func TestHTTPHealthAndMetrics(t *testing.T) {
 }
 
 // TestHTTPMetricsControllerObject pins the /metrics "controller" object,
-// keys and values, for a service with one fault and two TSDT routes, and
+// keys and values, for a service with one fault and three TSDT routes, and
 // checks the service object carries no dense-table or sliced-kernel keys.
 func TestHTTPMetricsControllerObject(t *testing.T) {
 	_, ts := newTestServer(t, Config{N: 8})
@@ -268,15 +268,18 @@ func TestHTTPMetricsControllerObject(t *testing.T) {
 	}
 	var doc map[string]json.RawMessage
 	getJSON(t, ts.URL+"/metrics", http.StatusOK, &doc)
-	// The repeated pair hits the service cache and never reaches the
-	// controller.
-	const want = `{"hits":0,"misses":2,"fails":0,"epoch":1,"cache_entries":2,"blocked_links":1}`
+	// The controller object is the map's state only; tag cache traffic
+	// is the service's tsdt counters.
+	const want = `{"fails":0,"epoch":1,"blocked_links":1}`
 	if got := string(doc["controller"]); got != want {
 		t.Errorf("controller object = %s, want %s", got, want)
 	}
 	var svc map[string]json.RawMessage
 	if err := json.Unmarshal(doc["service"], &svc); err != nil {
 		t.Fatal(err)
+	}
+	if got, want := string(svc["tsdt"]), `{"hits":1,"misses":2,"coalesced":0}`; got != want {
+		t.Errorf("service tsdt object = %s, want %s", got, want)
 	}
 	for _, k := range []string{"dense_routes", "prewarms_total", "prewarm_routes_total",
 		"sliced_lanes_utilized", "sliced_blocks_total", "sliced_lane_fill"} {

@@ -73,11 +73,8 @@ func mergeAdmission(dst *AdmissionMetrics, src AdmissionMetrics) {
 // mergeController sums two controller snapshots; the epoch, a per-network
 // map version, merges as the maximum.
 func mergeController(dst *controller.Stats, src controller.Stats) {
-	dst.Hits += src.Hits
-	dst.Misses += src.Misses
 	dst.Fails += src.Fails
 	dst.Epoch = max(dst.Epoch, src.Epoch)
-	dst.CacheEntries += src.CacheEntries
 	dst.BlockedLinks += src.BlockedLinks
 }
 

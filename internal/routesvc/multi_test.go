@@ -152,7 +152,7 @@ func TestMergeMetricsJSON(t *testing.T) {
 	mk := func(requests, h5xx uint64, net string) MetricsJSON {
 		return MetricsJSON{
 			Service:    Metrics{N: 64, Requests: requests},
-			Controller: controller.Stats{Hits: 2, Misses: 1, Epoch: requests},
+			Controller: controller.Stats{Fails: 2, Epoch: requests, BlockedLinks: 1},
 			HTTP5xx:    h5xx,
 			Networks:   []NetMetrics{{Net: net, Requests: requests, Replicas: 1}},
 		}
@@ -164,7 +164,7 @@ func TestMergeMetricsJSON(t *testing.T) {
 	if dst.Service.Requests != 22 || dst.HTTP5xx != 3 {
 		t.Fatalf("merged scrape sums wrong: requests=%d 5xx=%d", dst.Service.Requests, dst.HTTP5xx)
 	}
-	if dst.Controller.Hits != 6 || dst.Controller.Misses != 3 || dst.Controller.Epoch != 10 {
+	if dst.Controller != (controller.Stats{Fails: 6, Epoch: 10, BlockedLinks: 3}) {
 		t.Fatalf("merged controller wrong: %+v", dst.Controller)
 	}
 	if len(dst.Networks) != 2 {

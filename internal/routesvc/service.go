@@ -9,9 +9,11 @@
 //     core.NewTag(p, dst), with nothing stored, computed or admitted.
 //   - TSDT/REROUTE tags (Theorems 3.2–3.4) encode detours around the
 //     current blockage map, so every fault or repair report invalidates
-//     them. The service stamps each cached tag with the controller's map
-//     epoch; a mutation bumps the epoch and every stale entry dies lazily
-//     on its next lookup, with no global flush on the mutation path.
+//     them. The controller returns each tag with the epoch of the map it
+//     was computed against, and the service stamps the cached tag with
+//     that epoch; a mutation bumps the epoch and every stale entry dies
+//     lazily on its next lookup, with no global flush on the mutation
+//     path.
 //
 // A served answer is exactly (src, dst, scheme, tag, epoch, flags): by
 // Lemma 2.1 the tag and the source fix the route, so the service never
@@ -140,8 +142,9 @@ type Result struct {
 	// route (Tag.Follow).
 	Tag core.Tag
 	// Epoch is the blockage-map version the tag is valid against: for
-	// TSDT the epoch the tag was computed and validated under (a cache
-	// hit reports the entry's stamp, not a possibly newer current epoch);
+	// TSDT the epoch of the map the tag was computed against (a cache hit
+	// reports the entry's stamp, not a possibly newer current epoch; a
+	// miss and its coalesced joiners report RouteTagAt's epoch);
 	// for SSDT the epoch observed at request time, since Theorem 3.1
 	// makes the tag valid under every map.
 	Epoch uint64
@@ -313,29 +316,34 @@ func newService(cfg Config, adm *admission, ownAdm bool) (*Service, error) {
 	if s.sweepEvery == 0 {
 		s.sweepEvery = defaultSweepEvery
 	}
-	// The hook runs under the controller's write lock, so it must only
-	// bump counters and spawn work — never call back into the controller.
-	ctl.OnInvalidate(func(epoch uint64) {
-		s.invalidations.Add(1)
-		if (s.sweepEvery > 0 && epoch%uint64(s.sweepEvery) == 0) || epoch%aliasSweepInterval == 0 {
-			s.scheduleSweep()
-		}
-	})
 	return s, nil
 }
 
+// noteEpoch accounts for one map change reported by the controller: epoch
+// is the epoch the change produced, or 0 for a no-op report. Every epoch
+// is produced by exactly one report, so each cadence point schedules one
+// sweep however concurrent reports interleave.
+func (s *Service) noteEpoch(epoch uint64) {
+	if epoch == 0 {
+		return
+	}
+	s.invalidations.Add(1)
+	if (s.sweepEvery > 0 && epoch%uint64(s.sweepEvery) == 0) || epoch%aliasSweepInterval == 0 {
+		s.scheduleSweep()
+	}
+}
+
 // scheduleSweep runs one asynchronous cache sweep, dropping the request
-// if a sweep is already running or the service is draining. Drain waits
-// for a scheduled sweep through the inflight gate.
+// if a sweep is already running. Its caller (a fault or repair ingest)
+// holds an inflight ticket, so the sweep takes its own before that one
+// ends and Drain always waits for a scheduled sweep.
 func (s *Service) scheduleSweep() {
 	if !s.sweepBusy.CompareAndSwap(false, true) {
 		return
 	}
+	s.inflight.Add(1)
 	go func() {
 		defer s.sweepBusy.Store(false)
-		if s.begin() != nil {
-			return
-		}
 		defer s.end()
 		s.Sweep()
 	}()
@@ -457,29 +465,28 @@ func (s *Service) resolve(src, dst int, scheme Scheme) (Result, error) {
 		return Result{Src: src, Dst: dst, Scheme: scheme, Tag: tag, Epoch: s.ctl.Epoch(), Cached: true}, nil
 	}
 
-	// Load the epoch BEFORE computing: if a fault lands mid-compute, the
-	// entry is stamped with the old epoch and dies unread — the
-	// stale-pointing direction is impossible by construction. The stamp is
-	// also the reported epoch: the one the tag was validated against,
-	// never a newer epoch a concurrent mutation may have produced.
+	// Every TSDT answer carries the epoch of the map its tag was checked
+	// against: a hit reports the stamp it matched, and a miss reports the
+	// epoch RouteTagAt computed under, which is also the epoch its entry is
+	// stored at. A fault or repair landing between the lookup and the
+	// computation therefore moves the stamp along with the map; a tag is
+	// never stamped with a map it was not computed against.
 	key := cacheKey{src: int32(src), dst: int32(dst)}
 	stamp := s.ctl.Epoch()
 	if s.testEpochHook != nil {
 		s.testEpochHook()
 	}
-	res := Result{Src: src, Dst: dst, Scheme: scheme, Epoch: stamp}
 	if tag, ok := s.cache.get(key, stamp); ok {
 		s.hits[scheme].Add(1)
 		s.adm.noteHit()
-		res.Tag, res.Cached = tag, true
-		return res, nil
+		return Result{Src: src, Dst: dst, Scheme: scheme, Tag: tag, Epoch: stamp, Cached: true}, nil
 	}
 
-	tag, err, shared := s.fl.do(flightKey{key: key, epoch: stamp}, func() (core.Tag, error) {
+	tag, epoch, err, shared := s.fl.do(flightKey{key: key, epoch: stamp}, func() (core.Tag, uint64, error) {
 		// The admission gate guards the slow path: fresh TSDT/REROUTE
 		// computations against the current blockage map.
 		if !s.adm.acquire() {
-			return core.Tag{}, ErrOverload
+			return core.Tag{}, 0, ErrOverload
 		}
 		defer s.adm.release()
 		if s.testComputeHook != nil {
@@ -488,11 +495,11 @@ func (s *Service) resolve(src, dst int, scheme Scheme) (Result, error) {
 		if s.slowCost > 0 {
 			time.Sleep(s.slowCost)
 		}
-		tag, err := s.ctl.RouteTag(src, dst)
+		tag, epoch, err := s.ctl.RouteTagAt(src, dst)
 		if err == nil {
-			s.cache.put(key, tag, stamp)
+			s.cache.put(key, tag, epoch)
 		}
-		return tag, err
+		return tag, epoch, err
 	})
 	if errors.Is(err, ErrOverload) {
 		// A shed flight computed nothing: it is neither a hit nor a
@@ -515,8 +522,7 @@ func (s *Service) resolve(src, dst int, scheme Scheme) (Result, error) {
 		}
 		return Result{}, err
 	}
-	res.Tag, res.Coalesced = tag, shared
-	return res, nil
+	return Result{Src: src, Dst: dst, Scheme: scheme, Tag: tag, Epoch: epoch, Coalesced: shared}, nil
 }
 
 func (s *Service) validLink(l topology.Link) error {
@@ -550,17 +556,19 @@ func (s *Service) ApplyFaults(links []topology.Link, switches []topology.Switch)
 	changed := 0
 	for _, l := range links {
 		s.faults.Add(1)
-		if s.ctl.ReportFault(l) {
+		if e := s.ctl.ReportFault(l); e != 0 {
+			s.noteEpoch(e)
 			changed++
 		}
 	}
 	for _, sw := range switches {
 		s.faults.Add(1)
-		blocked, err := s.ctl.ReportSwitchFault(sw)
+		blocked, e, err := s.ctl.ReportSwitchFault(sw)
 		if err != nil {
 			// Unreachable after validation above, but never swallow it.
 			return changed, fmt.Errorf("%w: %v", ErrInvalid, err)
 		}
+		s.noteEpoch(e)
 		changed += blocked
 	}
 	return changed, nil
@@ -581,7 +589,8 @@ func (s *Service) ApplyRepairs(links []topology.Link) (int, error) {
 	changed := 0
 	for _, l := range links {
 		s.repairs.Add(1)
-		if s.ctl.ReportRepair(l) {
+		if e := s.ctl.ReportRepair(l); e != 0 {
+			s.noteEpoch(e)
 			changed++
 		}
 	}

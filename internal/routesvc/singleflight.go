@@ -6,21 +6,22 @@ import (
 	"iadm/internal/core"
 )
 
-// flightKey scopes request coalescing. The epoch is part of the key: a
-// request that arrives after a fault report must not join a flight started
-// under the old blockage map, or it could be handed a stale tag. The old
-// flight completes and stamps its (now stale) entry with the old epoch,
-// where it dies unread.
+// flightKey scopes request coalescing. The epoch is the one the request
+// loaded before its cache lookup, so a request that arrives after a fault
+// or repair never joins a flight started under an older map. A flight
+// reports the epoch its tag was computed against, which every caller that
+// shares it is answered with.
 type flightKey struct {
 	key   cacheKey
 	epoch uint64
 }
 
 type flightCall struct {
-	wg   sync.WaitGroup
-	tag  core.Tag
-	err  error
-	dups int // callers that joined, counted under flightGroup.mu
+	wg    sync.WaitGroup
+	tag   core.Tag
+	epoch uint64
+	err   error
+	dups  int // callers that joined, counted under flightGroup.mu
 }
 
 // callPool recycles the calls nobody joined, so an uncontended
@@ -40,7 +41,7 @@ type flightGroup struct {
 // do runs fn once per in-flight key; duplicate callers block until the
 // leader finishes and share its result. shared reports whether this caller
 // joined an existing flight rather than leading one.
-func (g *flightGroup) do(k flightKey, fn func() (core.Tag, error)) (tag core.Tag, err error, shared bool) {
+func (g *flightGroup) do(k flightKey, fn func() (core.Tag, uint64, error)) (tag core.Tag, epoch uint64, err error, shared bool) {
 	g.mu.Lock()
 	if g.m == nil {
 		g.m = make(map[flightKey]*flightCall)
@@ -49,15 +50,15 @@ func (g *flightGroup) do(k flightKey, fn func() (core.Tag, error)) (tag core.Tag
 		c.dups++
 		g.mu.Unlock()
 		c.wg.Wait()
-		return c.tag, c.err, true
+		return c.tag, c.epoch, c.err, true
 	}
 	c := callPool.Get().(*flightCall)
 	c.wg.Add(1)
 	g.m[k] = c
 	g.mu.Unlock()
 
-	tag, err = fn()
-	c.tag, c.err = tag, err
+	tag, epoch, err = fn()
+	c.tag, c.epoch, c.err = tag, epoch, err
 	c.wg.Done()
 
 	// Joiners register under the lock while the call is in the map, so
@@ -70,5 +71,5 @@ func (g *flightGroup) do(k flightKey, fn func() (core.Tag, error)) (tag core.Tag
 		c.tag, c.err = core.Tag{}, nil
 		callPool.Put(c)
 	}
-	return tag, err, false
+	return tag, epoch, err, false
 }
